@@ -8,6 +8,12 @@ assembled Hamiltonian: four closed forms, no infinite commutator series. For
 contrast, :func:`bch_series_truncated` evaluates the generic commutator series
 through fourth order, which does not terminate for noncommuting exchanges.
 
+Each form is evaluated from the structure of its factors rather than as a
+dense 2^N x 2^N product: multiplying by exp(-i*theta*P) for an exchange P is
+one column gather, the merged tail sum is a local gate on the at most four
+spins it touches, and exp(-i*T*H) is taken cycle block by cycle block. The
+dense products remain in the tests as independent oracles.
+
 Perturbing the pi/2 couplings breaks the closed forms: the product stops being
 a phased permutation, quantified by :func:`superposition_leakage`.
 """
@@ -19,18 +25,25 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .dynamics import ExchangeWord, evolution_permutation, polynomial_matrix, uniform_polynomial_form
+from .dynamics import (
+    ExchangeWord,
+    cycle_block_expm,
+    evolution_permutation,
+    polynomial_matrix,
+    uniform_polynomial_form,
+)
 from .linalg import (
     DEFAULT_UNITARITY_TOL,
+    InvolutionViolation,
     NonUnitaryError,
     as_matrix,
     commutator,
     dagger,
-    exp_involution,
     expm,
     identity,
     max_abs_diff,
 )
+from .permutation import Permutation
 from .spins import exchange_permutation
 
 FORM_FACTORED = "exp_each_factor"
@@ -75,8 +88,41 @@ class BchChainResult:
         return {label: max_abs_diff(m, self.baseline) for label, m in self.forms}
 
 
-def _factor_matrices(word: ExchangeWord) -> list[np.ndarray]:
-    return [exchange_permutation(word.n_spins, i, j).matrix() for i, j in word.factors]
+def _factor_permutations(word: ExchangeWord) -> list[Permutation]:
+    return [exchange_permutation(word.n_spins, i, j) for i, j in word.factors]
+
+
+def _times_exp_involution(m: np.ndarray, p: Permutation, theta: float) -> np.ndarray:
+    """m @ exp(-i*theta*P) for a permutation involution P, as one column gather.
+
+    exp(-i*theta*P) = cos(theta)*I - i*sin(theta)*P, and (m @ P)[:, x] = m[:, P(x)],
+    so the product costs O(dim^2) instead of a dense O(dim^3) matrix product.
+    """
+    if not (p * p).is_identity():
+        raise InvolutionViolation("the permutation does not square to the identity")
+    out = np.take(m, p.map, axis=1)
+    out *= -1j * np.sin(theta)
+    out += np.cos(theta) * m
+    return out
+
+
+def _times_exp_tail_sum(m: np.ndarray, word: ExchangeWord, theta: float) -> np.ndarray:
+    """m @ exp(-i*theta*(P_last2 + P_last)), exponentiated on the spins the tail touches.
+
+    The sum acts on at most four spins, so its exponential is a 2^k x 2^k gate
+    (k <= 4) times the identity on the rest. The column axis of m is split into
+    N binary axes, spin 1 the most significant, and the gate is contracted onto
+    the tail's k axes; the 2^N x 2^N exponential is never formed.
+    """
+    spins = sorted(set(word.factors[-2]) | set(word.factors[-1]))
+    k = len(spins)
+    local = {s: r for r, s in enumerate(spins, start=1)}
+    tail_sum = sum(exchange_permutation(k, local[i], local[j]).matrix() for i, j in word.factors[-2:])
+    gate = expm(-1j * theta * tail_sum).reshape((2,) * (2 * k))
+    columns = m.reshape((m.shape[0],) + (2,) * word.n_spins)  # axis s carries spin s
+    out = np.tensordot(columns, gate, axes=(spins, list(range(k))))
+    out = np.moveaxis(out, range(out.ndim - k, out.ndim), spins)  # tensordot appends the gate's axes
+    return out.reshape(m.shape)
 
 
 def _require_commuting_tail(word: ExchangeWord) -> None:
@@ -93,14 +139,14 @@ def _require_commuting_tail(word: ExchangeWord) -> None:
 
 def _chain_forms(word: ExchangeWord, theta: float) -> dict[str, np.ndarray]:
     """The three factored forms at coupling theta (tail must already be checked)."""
-    mats = _factor_matrices(word)
-    m = len(mats)
-    head = identity(mats[0].shape[0])
-    for p in mats[:-2]:
-        head = head @ exp_involution(p, theta)
-    factored = head @ exp_involution(mats[-2], theta) @ exp_involution(mats[-1], theta)
-    tail_sum = head @ expm(-1j * theta * (mats[-2] + mats[-1]))
-    tail_product = head @ exp_involution(mats[-2] @ mats[-1], theta)
+    perms = _factor_permutations(word)
+    m = len(perms)
+    head = identity(perms[0].size)
+    for p in perms[:-2]:
+        head = _times_exp_involution(head, p, theta)
+    factored = _times_exp_involution(_times_exp_involution(head, perms[-2], theta), perms[-1], theta)
+    tail_sum = _times_exp_tail_sum(head, word, theta)
+    tail_product = _times_exp_involution(head, perms[-2] * perms[-1], theta)
     return {
         FORM_FACTORED: (1j**m) * factored,
         FORM_TAIL_SUM: (1j**m) * tail_sum,
@@ -124,7 +170,7 @@ def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> BchChainResult:
     baseline = perm.matrix()
     forms = _chain_forms(word, np.pi / 2)
     coeffs = uniform_polynomial_form(perm, timestep)
-    forms[FORM_HAMILTONIAN] = expm(-1j * timestep * polynomial_matrix(perm, coeffs))
+    forms[FORM_HAMILTONIAN] = cycle_block_expm(perm, polynomial_matrix(perm, coeffs), -1j * timestep)
     ordered = tuple(
         (label, forms[label])
         for label in (FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT, FORM_HAMILTONIAN)
@@ -205,10 +251,10 @@ def perturb_coupling(word: ExchangeWord, config: PerturbationConfig = Perturbati
     At zero offsets this reproduces the exact permutation product; any nonzero
     offset generically leaks weight off the permutation pattern.
     """
-    mats = _factor_matrices(word)
-    offsets = config.offsets(len(mats))
+    perms = _factor_permutations(word)
+    offsets = config.offsets(len(perms))
     base = (2 * config.k + 0.5) * np.pi
-    out = identity(mats[0].shape[0])
-    for p, eps in zip(mats, offsets):
-        out = out @ (1j * exp_involution(p, base + eps))
-    return out
+    out = identity(perms[0].size)
+    for p, eps in zip(perms, offsets):
+        out = _times_exp_involution(out, p, base + eps)
+    return (1j ** len(perms)) * out  # a power of i multiplies exactly, so it is applied once

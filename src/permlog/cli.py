@@ -37,6 +37,7 @@ from .cogwheel import (
 )
 from .dynamics import (
     WordParseError,
+    cycle_block_expm,
     evolution_permutation,
     hamiltonian_from_permutation,
     orbit_decomposition,
@@ -57,6 +58,7 @@ from .spins import SPIN_CAP, SpinConfiguration, four_spin_state_label, number_do
 
 SCHEMA_VERSION = 1
 TOL_ENV_VAR = "PERMLOG_TOL"
+MAX_SWEEP_STEPS = 1000  # each step builds and checks one dense 2^N x 2^N unitary
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +263,7 @@ def _cmd_spin(args, tol: float):
     flip = spinflip(n).matrix()
     period = len(coeffs)
     verifications = [
-        _check("round_trip", max_abs_diff(expm(-1j * h * t), u), tol),
+        _check("round_trip", max_abs_diff(cycle_block_expm(perm, h, -1j * t), u), tol),
         _check("commutes_number_up", max_abs_diff(h @ n_up, n_up @ h), DEFAULT_UNITARITY_TOL),
         _check("commutes_number_down", max_abs_diff(h @ n_down, n_down @ h), DEFAULT_UNITARITY_TOL),
         _check("commutes_spinflip", max_abs_diff(h @ flip, flip @ h), DEFAULT_UNITARITY_TOL),
@@ -321,8 +323,8 @@ def _parse_sweep(spec_text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError("--epsilon-sweep expects start:stop:steps")
     start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if steps < 1:
-        raise ValueError("--epsilon-sweep needs at least one step")
+    if not 1 <= steps <= MAX_SWEEP_STEPS:
+        raise ValueError(f"--epsilon-sweep steps must be in 1..{MAX_SWEEP_STEPS}, got {steps}")
     return np.linspace(start, stop, steps)
 
 
@@ -333,7 +335,10 @@ def _cmd_bch(args, tol: float):
     t = args.t
     if not t > 0:
         raise ValueError("--t must be positive")
+    if args.k_range < 0:
+        raise ValueError("--k-range must be non-negative")
     word = parse_word(args.word, n)
+    eps_values = None if args.epsilon_sweep is None else _parse_sweep(args.epsilon_sweep)
 
     verifications = []
     results: dict = {"word": str(word)}
@@ -358,8 +363,7 @@ def _cmd_bch(args, tol: float):
         results["coupling_variants"] = variants
 
     csv_text = None
-    if args.epsilon_sweep is not None:
-        eps_values = _parse_sweep(args.epsilon_sweep)
+    if eps_values is not None:
         sweep = []
         for eps in eps_values:
             leak = superposition_leakage(perturb_coupling(word, PerturbationConfig(epsilon=float(eps))))
@@ -438,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bch.add_argument("--word", required=True, help='e.g. "P23 P12 P34"')
     p_bch.add_argument("--epsilon", type=float, default=None, help="single coupling offset")
     p_bch.add_argument("--epsilon-sweep", dest="epsilon_sweep", default=None,
-                       help="start:stop:steps leakage sweep")
+                       help=f"start:stop:steps leakage sweep (at most {MAX_SWEEP_STEPS} steps)")
     p_bch.add_argument("--k-range", dest="k_range", type=int, default=2,
                        help="check coupling variants for |k| up to this (default 2)")
     add_common(p_bch)

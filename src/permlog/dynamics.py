@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cogwheel import cogwheel_hamiltonian, polynomial_coefficients
+from .linalg import as_matrix, expm
 from .permutation import Permutation
 from .spins import SPIN_CAP, exchange_permutation
 
@@ -168,16 +169,41 @@ def hamiltonian_from_permutation(perm: Permutation, timestep: float = 1.0) -> Bl
 
 
 def polynomial_matrix(perm: Permutation, coefficients) -> np.ndarray:
-    """Evaluate sum_k c_k * M^k at the permutation matrix M."""
+    """Evaluate sum_k c_k * M^k at the permutation matrix M.
+
+    M^k holds a one at (p^k(x), x) and zeros elsewhere, so each term is a
+    scatter of c_k along the k-th power's image: O(L * 2^N), no matrix products.
+    """
     coeffs = np.asarray(coefficients, dtype=complex)
-    m = perm.matrix()
-    power = np.eye(perm.size, dtype=complex)
+    step = np.asarray(perm.map)
+    columns = np.arange(perm.size)
+    image = columns.copy()
     total = np.zeros((perm.size, perm.size), dtype=complex)
     for k, c in enumerate(coeffs):
         if k:
-            power = m @ power
-        total += c * power
+            image = step[image]
+        total[image, columns] += c
     return total
+
+
+def cycle_block_expm(perm: Permutation, h, scale: complex) -> np.ndarray:
+    """expm(scale * h) for an h that is block diagonal on the cycles of perm.
+
+    Every Hamiltonian this module builds lives inside the cycle blocks, so the
+    exponential is assembled block by block. Raises ValueError if any entry of
+    h outside the blocks is nonzero; there is no dense fallback.
+    """
+    h = as_matrix(h)
+    if h.shape[0] != perm.size:
+        raise ValueError(f"h is {h.shape[0]}x{h.shape[0]}, the permutation acts on {perm.size} points")
+    cycles = perm.cycles()
+    blocks = [h[np.ix_(cycle, cycle)] for cycle in cycles]
+    if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(h):
+        raise ValueError("h has nonzero entries outside the cycle blocks of the permutation")
+    out = np.zeros_like(h)
+    for cycle, block in zip(cycles, blocks):
+        out[np.ix_(cycle, cycle)] = expm(scale * block)
+    return out
 
 
 def uniform_polynomial_form(perm: Permutation, timestep: float = 1.0) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlog.bch import (
+    COUPLING_FAMILIES,
     FORM_FACTORED,
     FORM_HAMILTONIAN,
     FORM_TAIL_PRODUCT,
@@ -19,11 +20,27 @@ from permlog.bch import (
     perturb_coupling,
     superposition_leakage,
 )
-from permlog.dynamics import parse_word
-from permlog.linalg import NonUnitaryError, exp_involution, expm, max_abs_diff
+from permlog.bch import _chain_forms, _times_exp_involution
+from permlog.dynamics import (
+    ExchangeWord,
+    evolution_permutation,
+    parse_word,
+    polynomial_matrix,
+    uniform_polynomial_form,
+)
+from permlog.linalg import (
+    InvolutionViolation,
+    NonUnitaryError,
+    exp_involution,
+    expm,
+    identity,
+    max_abs_diff,
+)
+from permlog.permutation import Permutation
 from permlog.spins import exchange_permutation
 
 CHAIN_TOL = 1e-10
+DENSE_ORACLE_TOL = 1e-13  # structured vs dense evaluation of the same exact forms
 
 
 @pytest.fixture()
@@ -259,3 +276,110 @@ def test_shifted_coupling_family_still_exact(reference_word):
     u = evolution_permutation(reference_word).matrix()
     out = perturb_coupling(reference_word, PerturbationConfig(epsilon=0.0, k=1))
     assert max_abs_diff(out, u) <= 1e-12
+
+
+# --- dense oracles for the structure-aware evaluation ------------------------------------
+#
+# The library evaluates each form from the structure of its factors (column gathers,
+# a local tail gate, per-cycle exponentials). These tests rebuild the dense 2^N x 2^N
+# products the forms are defined by and require agreement on random words, n <= 8.
+
+
+def random_commuting_tail_word(seed, tail):
+    """A covering word on 4..8 spins whose last two factors are disjoint or the same pair."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 9))
+    spins = [int(s) for s in rng.permutation(np.arange(1, n + 1))]
+    head = [(spins[k], spins[k + 1]) for k in range(n - 1)]
+    rng.shuffle(head)
+    a, b, c, d = spins[:4]
+    last_two = [(a, b), (c, d)] if tail == "disjoint" else [(a, b), (a, b)]
+    return ExchangeWord(n_spins=n, factors=tuple(head + last_two))
+
+
+def dense_chain_forms(word, theta):
+    """The three factored forms as dense products of dense exponentials."""
+    mats = [exchange_permutation(word.n_spins, i, j).matrix() for i, j in word.factors]
+    m = len(mats)
+    head = identity(mats[0].shape[0])
+    for p in mats[:-2]:
+        head = head @ exp_involution(p, theta)
+    return {
+        FORM_FACTORED: (1j**m) * head @ exp_involution(mats[-2], theta) @ exp_involution(mats[-1], theta),
+        FORM_TAIL_SUM: (1j**m) * head @ expm(-1j * theta * (mats[-2] + mats[-1])),
+        FORM_TAIL_PRODUCT: (1j ** (m - 1)) * head @ exp_involution(mats[-2] @ mats[-1], theta),
+    }
+
+
+def test_random_words_have_the_requested_tails():
+    repeated = random_commuting_tail_word(0, "repeated").factors
+    assert repeated[-1] == repeated[-2]
+    (a, b), (c, d) = random_commuting_tail_word(0, "disjoint").factors[-2:]
+    assert not {a, b} & {c, d}
+
+
+@pytest.mark.parametrize("tail", ["disjoint", "repeated"])
+@pytest.mark.parametrize("seed", range(5))
+def test_chain_matches_dense_oracle(seed, tail):
+    word = random_commuting_tail_word(seed, tail)
+    timestep = (1.0, 0.5, 2.5)[seed % 3]
+    perm = evolution_permutation(word)
+    dense = dense_chain_forms(word, np.pi / 2)
+    h = polynomial_matrix(perm, uniform_polynomial_form(perm, timestep))
+    dense[FORM_HAMILTONIAN] = expm(-1j * timestep * h)
+    result = bch_chain(word, timestep)
+    assert [label for label, _ in result.forms] == [
+        FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT, FORM_HAMILTONIAN
+    ]
+    for label, mat in result.forms:
+        assert max_abs_diff(mat, dense[label]) <= DENSE_ORACLE_TOL, label
+    assert result.max_deviation < CHAIN_TOL
+
+
+@pytest.mark.parametrize("tail", ["disjoint", "repeated"])
+@pytest.mark.parametrize("family", COUPLING_FAMILIES)
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
+def test_coupling_variants_match_dense_oracle(k, family, tail):
+    word = random_commuting_tail_word(100 + k, tail)
+    theta = (2 * k + (0.5 if family == "plus_half" else 1.5)) * np.pi
+    dense = dense_chain_forms(word, theta)
+    forms = _chain_forms(word, theta)
+    assert forms.keys() == dense.keys()
+    for label, mat in forms.items():
+        assert max_abs_diff(mat, dense[label]) <= DENSE_ORACLE_TOL, label
+    m = len(word.factors)
+    sign = 1.0 if family == "plus_half" else -1.0
+    signs = {FORM_FACTORED: sign**m, FORM_TAIL_SUM: sign**m, FORM_TAIL_PRODUCT: sign ** (m - 1)}
+    baseline = evolution_permutation(word).matrix()
+    dense_verdict = all(
+        max_abs_diff(mat, signs[label] * baseline) <= CHAIN_TOL for label, mat in dense.items()
+    )
+    assert coupling_variant_check(word, k, family, CHAIN_TOL) == dense_verdict
+
+
+def dense_perturbed_product(word, config):
+    mats = [exchange_permutation(word.n_spins, i, j).matrix() for i, j in word.factors]
+    base = (2 * config.k + 0.5) * np.pi
+    out = identity(mats[0].shape[0])
+    for p, eps in zip(mats, config.offsets(len(mats))):
+        out = out @ (1j * exp_involution(p, base + eps))
+    return out
+
+
+@pytest.mark.parametrize("tail", ["disjoint", "repeated"])
+@pytest.mark.parametrize("k", [-2, 0, 1])
+@pytest.mark.parametrize("seed", range(3))
+def test_perturb_coupling_matches_dense_oracle(seed, k, tail):
+    word = random_commuting_tail_word(200 + seed, tail)
+    rng = np.random.default_rng(seed)
+    per_factor = tuple(rng.uniform(-0.1, 0.1, len(word.factors)))
+    for epsilon in (0.0, 0.013, per_factor):
+        config = PerturbationConfig(epsilon=epsilon, k=k)
+        dense = dense_perturbed_product(word, config)
+        assert max_abs_diff(perturb_coupling(word, config), dense) <= DENSE_ORACLE_TOL, epsilon
+
+
+def test_exponential_of_a_non_involution_is_refused():
+    three_cycle = Permutation((1, 2, 0))
+    with pytest.raises(InvolutionViolation):
+        _times_exp_involution(identity(3), three_cycle, 0.5)

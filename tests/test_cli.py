@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from permlog.cli import main
+from permlog.cli import MAX_SWEEP_STEPS, main
 
 REFERENCE_ARGS = ["spin", "--n", "4", "--word", "P23 P12 P34", "--t", "1", "--format", "json"]
 
@@ -192,6 +192,26 @@ def test_bch_csv_without_sweep_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "CSV" in err
+
+
+def test_bch_negative_k_range_is_usage_error(capsys):
+    code = main(["bch", "--n", "4", "--word", "P23 P12 P34", "--k-range", "-1", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: --k-range" in captured.err
+
+
+def test_bch_sweep_step_cap(capsys):
+    args = ["bch", "--n", "2", "--word", "P12 P12", "--k-range", "0", "--format", "csv"]
+    code = main(args + ["--epsilon-sweep", f"0:0.1:{MAX_SWEEP_STEPS + 1}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: --epsilon-sweep" in captured.err
+    code, out = run_cli(args + ["--epsilon-sweep", f"0:0.1:{MAX_SWEEP_STEPS}"], capsys)
+    assert code == 0
+    assert len(out.strip().splitlines()) == MAX_SWEEP_STEPS + 1
 
 
 # --- tolerances, exit codes, output -------------------------------------------------

@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from permlog.cogwheel import cogwheel_hamiltonian, polynomial_coefficients
 from permlog.dynamics import (
     ExchangeWord,
     UntouchedSpinWarning,
     WordParseError,
+    cycle_block_expm,
     evolution_permutation,
     hamiltonian_from_permutation,
     orbit_decomposition,
@@ -242,9 +244,77 @@ def test_polynomial_matrix_horner_matches_direct():
     assert max_abs_diff(polynomial_matrix(perm, coeffs), direct) <= 1e-13
 
 
+def dense_polynomial_matrix(perm, coeffs):
+    """Dense reference: M^k by repeated matrix products, c_k * M^k summed in k order."""
+    m = perm.matrix()
+    power = np.eye(perm.size, dtype=complex)
+    total = np.zeros((perm.size, perm.size), dtype=complex)
+    for k, c in enumerate(coeffs):
+        if k:
+            power = m @ power
+        total += c * power
+    return total
+
+
+def random_covering_word(rng, n_spins):
+    spins = [int(s) for s in rng.permutation(np.arange(1, n_spins + 1))]
+    pairs = [(spins[k], spins[k + 1]) for k in range(n_spins - 1)]
+    pairs += [tuple(int(s) for s in rng.choice(np.arange(1, n_spins + 1), 2, replace=False))]
+    rng.shuffle(pairs)
+    return ExchangeWord(n_spins=n_spins, factors=tuple(pairs))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_polynomial_matrix_scatter_equals_dense_products(seed):
+    rng = np.random.default_rng(seed)
+    perm = evolution_permutation(random_covering_word(rng, int(rng.integers(2, 8))))
+    uniform = uniform_polynomial_form(perm, 1.0)
+    arbitrary = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    for coeffs in (uniform, arbitrary):
+        assert np.array_equal(polynomial_matrix(perm, coeffs), dense_polynomial_matrix(perm, coeffs))
+
+
 def test_power_lcm_is_identity(reference_perm):
     assert (reference_perm ** reference_perm.order()).is_identity()
     assert reference_perm.order() == 4
+
+
+# --- block exponential ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cycle_block_expm_matches_scipy(seed):
+    rng = np.random.default_rng(seed)
+    perm = evolution_permutation(random_covering_word(rng, int(rng.integers(2, 9))))
+    t = (1.0, 0.5, 2.5)[seed % 3]
+    h = hamiltonian_from_permutation(perm, t).matrix
+    blocks = cycle_block_expm(perm, h, -1j * t)
+    assert max_abs_diff(blocks, scipy.linalg.expm(-1j * t * h)) <= 1e-12
+    assert max_abs_diff(blocks, perm.matrix()) <= ROUND_TRIP_TOL
+
+
+def test_cycle_block_expm_on_arbitrary_blocks():
+    rng = np.random.default_rng(3)
+    perm = Permutation(tuple(int(x) for x in rng.permutation(12)))
+    h = np.zeros((12, 12), dtype=complex)
+    for cycle in perm.cycles():
+        shape = (len(cycle), len(cycle))
+        h[np.ix_(cycle, cycle)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    scale = 0.3 - 0.2j
+    assert max_abs_diff(cycle_block_expm(perm, h, scale), scipy.linalg.expm(scale * h)) <= 1e-12
+
+
+def test_cycle_block_expm_rejects_one_off_block_entry(reference_perm):
+    h = hamiltonian_from_permutation(reference_perm, 1.0).matrix
+    first, second = reference_perm.cycles()[:2]
+    h[first[0], second[0]] = 1e-300
+    with pytest.raises(ValueError, match="outside the cycle blocks"):
+        cycle_block_expm(reference_perm, h, -1j)
+
+
+def test_cycle_block_expm_rejects_a_size_mismatch(reference_perm):
+    with pytest.raises(ValueError):
+        cycle_block_expm(reference_perm, np.zeros((8, 8)), -1j)
 
 
 # --- spectrum -----------------------------------------------------------------------
