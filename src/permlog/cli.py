@@ -1,10 +1,11 @@
 """Command-line surface: cogwheel, spin, and bch reports with deterministic export.
 
-JSON documents carry fixed field order and fixed float formatting (17
-significant digits), so identical invocations produce byte-identical output.
-Complex numbers serialize as [re, im] pairs and matrices as row-major nested
-arrays. CSV export exists only for flat data (energy levels and perturbation
-sweeps). Exit codes: 0 all verifications passed, 1 some verification failed,
+Each command builds one result model, the JSON payload (numpy arrays kept as
+arrays), and main renders it in the requested format only. JSON documents
+carry fixed field order and fixed float formatting (17 significant digits), so
+identical invocations produce byte-identical output. Complex numbers serialize
+as [re, im] pairs and matrices as row-major nested arrays. CSV export exists
+only for flat data (energy levels and perturbation sweeps). Exit codes: 0 all verifications passed, 1 some verification failed,
 2 usage error. The PERMLOG_TOL environment variable overrides the default
 equality tolerance; --tol overrides both.
 """
@@ -33,6 +34,7 @@ from .cogwheel import (
     cogwheel_hamiltonian,
     diagonalizer,
     polynomial_coefficients,
+    shift_permutation,
     verify_power_identity,
 )
 from .dynamics import (
@@ -59,6 +61,7 @@ from .spins import SPIN_CAP, SpinConfiguration, four_spin_state_label, number_do
 SCHEMA_VERSION = 1
 TOL_ENV_VAR = "PERMLOG_TOL"
 MAX_SWEEP_STEPS = 1000  # each step builds and checks one dense 2^N x 2^N unitary
+COGWHEEL_CAP = 1 << SPIN_CAP  # cogwheel builds dense n x n matrices; same bound as the spin commands
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +76,8 @@ def _float_repr(x: float) -> str:
 
 def _emit_json(value, indent: int = 0) -> str:
     pad = "  " * indent
+    if isinstance(value, np.ndarray):
+        return _emit_json(value.tolist(), indent)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -101,30 +106,16 @@ def _emit_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _complex_pair(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_json(m) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=complex)
-    return [[_complex_pair(z) for z in row] for row in m]
-
-
-def _vector_json(v) -> list[float]:
-    return [float(x) for x in np.asarray(v, dtype=float)]
-
-
 # ---------------------------------------------------------------------------
-# pretty rendering
+# rendering: each renderer reads only the payload
 
 
 def _fmt_complex(z: complex) -> str:
     z = complex(z)
     return f"{z.real:+.6g}{z.imag:+.6g}i"
 
-def _fmt_matrix(m, label: str) -> list[str]:
-    m = np.asarray(m, dtype=complex)
+
+def _fmt_matrix(m: np.ndarray, label: str) -> list[str]:
     lines = [f"{label} ({m.shape[0]}x{m.shape[1]}):"]
     for row in m:
         lines.append("  " + "  ".join(f"{_fmt_complex(z):>22s}" for z in row))
@@ -145,6 +136,86 @@ def _verification_lines(verifications) -> list[str]:
     return lines
 
 
+def _pretty_cogwheel(inputs: dict, results: dict) -> list[str]:
+    lines = [f"cogwheel: n={inputs['n']}, t={_float_repr(inputs['t'])}"]
+    lines += _fmt_matrix(results["standard_form"], "standard form U")
+    lines.append("energies: " + ", ".join(_float_repr(e) for e in results["energies"]))
+    if "hamiltonian" in results:
+        lines += _fmt_matrix(results["hamiltonian"], "hamiltonian H")
+        coeffs = results["polynomial_coefficients"]
+        lines.append("polynomial coefficients: " + ", ".join(_fmt_complex(c) for c in coeffs))
+    return lines
+
+
+def _pretty_spin(inputs: dict, results: dict) -> list[str]:
+    lines = [f"spin chain: n={inputs['n']}, word={inputs['word']}, t={_float_repr(inputs['t'])}", "orbits:"]
+    for orbit in results["orbits"]:
+        line = f"  length {orbit['length']}: " + " -> ".join(orbit["states"])
+        if "labels" in orbit:
+            line += "  (labels " + ",".join(str(label) for label in orbit["labels"]) + ")"
+        lines.append(line)
+    lines += _fmt_matrix(results["hamiltonian"], "hamiltonian H")
+    period = results["polynomial_period"]
+    lines.append(f"polynomial period: {period}")
+    lines.append(
+        "polynomial coefficients: "
+        + ", ".join(_fmt_complex(c) for c in results["polynomial_coefficients"][:16])
+        + (" ..." if period > 16 else "")
+    )
+    lines.append("spectrum:")
+    spec = results["spectrum"]
+    for e, m in zip(spec["energies"], spec["multiplicities"]):
+        lines.append(f"  energy {_float_repr(e)}  multiplicity {m}")
+    return lines
+
+
+def _pretty_bch(inputs: dict, results: dict) -> list[str]:
+    lines = [f"bch: n={inputs['n']}, word={inputs['word']}"]
+    if "max_deviation" in results:
+        lines.append(f"all closed forms vs plain product: max deviation {results['max_deviation']:.3e}")
+        for label, dev in results["form_deviations"].items():
+            lines.append(f"  {label}: {dev:.3e}")
+        agree = sum(1 for v in results["coupling_variants"] if v["passed"])
+        lines.append(f"coupling variants passed: {agree}/{len(results['coupling_variants'])}")
+    else:
+        lines.append(f"chain not evaluated: {results['chain_error']}")
+    if "perturbation" in results:
+        p = results["perturbation"]
+        lines.append(f"epsilon {_float_repr(p['epsilon'])}: leakage {_float_repr(p['leakage'])}")
+    if "sweep" in results:
+        lines.append("epsilon sweep:")
+        for e, l in results["sweep"]:
+            lines.append(f"  {_float_repr(e)}  {_float_repr(l)}")
+    return lines
+
+
+_PRETTY = {"cogwheel": _pretty_cogwheel, "spin": _pretty_spin, "bch": _pretty_bch}
+
+
+def _render_pretty(payload: dict) -> str:
+    lines = _PRETTY[payload["command"]](payload["inputs"], payload["results"])
+    lines += _verification_lines(payload["verifications"])
+    return "\n".join(lines) + "\n"
+
+
+def _render_csv(payload: dict) -> str:
+    """The command's flat table; bch has one only with --epsilon-sweep, which _cmd_bch enforces."""
+    results = payload["results"]
+    if payload["command"] == "cogwheel":
+        header, rows = "level,energy", enumerate(results["energies"])
+    elif payload["command"] == "spin":
+        spec = results["spectrum"]
+        header, rows = "energy,multiplicity", zip(spec["energies"], spec["multiplicities"])
+    else:
+        header, rows = "epsilon,leakage", results["sweep"]
+    lines = [header] + [",".join(_emit_json(cell) for cell in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# commands: each returns the payload; --n, --t and the tolerance are already checked
+
+
 def _check(name: str, error: float, tolerance: float) -> dict:
     return {
         "name": name,
@@ -158,17 +229,8 @@ def _check_bool(name: str, passed: bool) -> dict:
     return {"name": name, "passed": bool(passed), "max_error": None, "tolerance": None}
 
 
-# ---------------------------------------------------------------------------
-# commands
-
-
-def _cmd_cogwheel(args, tol: float):
-    n = args.n
-    if n < 1:
-        raise ValueError("--n must be a positive integer")
-    t = args.t
-    if not t > 0:
-        raise ValueError("--t must be positive")
+def _cmd_cogwheel(args, tol: float) -> dict:
+    n, t = args.n, args.t
     phases = None
     if args.phases is not None:
         phases = [float(p) for p in args.phases.split(",")]
@@ -183,22 +245,16 @@ def _cmd_cogwheel(args, tol: float):
         _check_bool("standard_form_is_permutation", is_permutation_matrix(u, tol)),
         _check_bool("power_identity", verify_power_identity(n, phases, tol)),
     ]
-    results = {
-        "standard_form": _matrix_json(u),
-        "energies": _vector_json(levels.energies),
-    }
-    h = coeffs = None
+    results = {"standard_form": u, "energies": levels.energies}
     if zero_phases:
         d = diagonalizer(n)
         h = cogwheel_hamiltonian(n, t)
         coeffs = polynomial_coefficients(n, t)
         lam = np.diag(np.exp(-1j * levels.energies * t))
-        reconstructed = sum(
-            coeffs[k] * np.linalg.matrix_power(u, k) for k in range(n)
-        )
-        results["diagonalizer"] = _matrix_json(d)
-        results["hamiltonian"] = _matrix_json(h)
-        results["polynomial_coefficients"] = [_complex_pair(c) for c in coeffs]
+        reconstructed = polynomial_matrix(shift_permutation(n), coeffs)
+        results["diagonalizer"] = d
+        results["hamiltonian"] = h
+        results["polynomial_coefficients"] = coeffs
         verifications += [
             _check("diagonalizer_unitary", max_abs_diff(d @ dagger(d), np.eye(n)), DEFAULT_UNITARITY_TOL),
             _check("diagonalization", max_abs_diff(dagger(d) @ u @ d, lam), DEFAULT_UNITARITY_TOL),
@@ -208,30 +264,18 @@ def _cmd_cogwheel(args, tol: float):
             _check("coefficients_zero_sum", abs(complex(coeffs.sum())), DEFAULT_UNITARITY_TOL),
         ]
 
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "cogwheel",
         "inputs": {
             "n": n,
             "t": float(t),
-            "phases": _vector_json(phases if phases is not None else [0.0] * n),
+            "phases": phases if phases is not None else [0.0] * n,
             "tolerance": float(tol),
         },
         "results": results,
         "verifications": verifications,
     }
-
-    csv_lines = ["level,energy"]
-    csv_lines += [f"{i},{_float_repr(e)}" for i, e in enumerate(levels.energies)]
-
-    pretty = [f"cogwheel: n={n}, t={_float_repr(t)}"]
-    pretty += _fmt_matrix(u, "standard form U")
-    pretty.append("energies: " + ", ".join(_float_repr(e) for e in levels.energies))
-    if zero_phases:
-        pretty += _fmt_matrix(h, "hamiltonian H")
-        pretty.append("polynomial coefficients: " + ", ".join(_fmt_complex(c) for c in coeffs))
-    pretty += _verification_lines(verifications)
-    return payload, "\n".join(csv_lines) + "\n", "\n".join(pretty) + "\n"
 
 
 def _orbit_entry(cycle, n_spins: int) -> dict:
@@ -242,13 +286,8 @@ def _orbit_entry(cycle, n_spins: int) -> dict:
     return entry
 
 
-def _cmd_spin(args, tol: float):
-    n = args.n
-    if not 2 <= n <= SPIN_CAP:
-        raise ValueError(f"--n must be in 2..{SPIN_CAP}")
-    t = args.t
-    if not t > 0:
-        raise ValueError("--t must be positive")
+def _cmd_spin(args, tol: float) -> dict:
+    n, t = args.n, args.t
     word = parse_word(args.word, n)
     perm = evolution_permutation(word)
     orbits = orbit_decomposition(perm)
@@ -272,50 +311,25 @@ def _cmd_spin(args, tol: float):
         _check_bool("multiplicities_total", spec.total_multiplicity == perm.size),
     ]
 
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "spin",
         "inputs": {"n": n, "word": str(word), "t": float(t), "tolerance": float(tol)},
         "results": {
             "dimension": perm.size,
-            "orbit_lengths": list(orbits.lengths),
+            "orbit_lengths": orbits.lengths,
             "orbits": [_orbit_entry(c, n) for c in orbits.cycles],
-            "hamiltonian": _matrix_json(h),
+            "hamiltonian": h,
             "polynomial_period": period,
-            "polynomial_coefficients": [_complex_pair(c) for c in coeffs],
+            "polynomial_coefficients": coeffs,
             "spectrum": {
-                "energies": _vector_json(spec.distinct_energies),
-                "multiplicities": list(spec.multiplicities),
-                "contributing_cycles": [list(p) for p in spec.block_provenance],
+                "energies": spec.distinct_energies,
+                "multiplicities": spec.multiplicities,
+                "contributing_cycles": spec.block_provenance,
             },
         },
         "verifications": verifications,
     }
-
-    csv_lines = ["energy,multiplicity"]
-    csv_lines += [
-        f"{_float_repr(e)},{m}" for e, m in zip(spec.distinct_energies, spec.multiplicities)
-    ]
-
-    pretty = [f"spin chain: n={n}, word={word}, t={_float_repr(t)}", "orbits:"]
-    for c in orbits.cycles:
-        states = " -> ".join(str(SpinConfiguration(n, x)) for x in c)
-        if n == 4:
-            labels = ",".join(str(four_spin_state_label(SpinConfiguration(4, x))) for x in c)
-            pretty.append(f"  length {len(c)}: {states}  (labels {labels})")
-        else:
-            pretty.append(f"  length {len(c)}: {states}")
-    pretty += _fmt_matrix(h, "hamiltonian H")
-    pretty.append(f"polynomial period: {period}")
-    pretty.append(
-        "polynomial coefficients: " + ", ".join(_fmt_complex(c) for c in coeffs[: min(period, 16)])
-        + (" ..." if period > 16 else "")
-    )
-    pretty.append("spectrum:")
-    for e, m in zip(spec.distinct_energies, spec.multiplicities):
-        pretty.append(f"  energy {_float_repr(e)}  multiplicity {m}")
-    pretty += _verification_lines(verifications)
-    return payload, "\n".join(csv_lines) + "\n", "\n".join(pretty) + "\n"
 
 
 def _parse_sweep(spec_text: str) -> np.ndarray:
@@ -328,17 +342,14 @@ def _parse_sweep(spec_text: str) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
-def _cmd_bch(args, tol: float):
-    n = args.n
-    if not 2 <= n <= SPIN_CAP:
-        raise ValueError(f"--n must be in 2..{SPIN_CAP}")
-    t = args.t
-    if not t > 0:
-        raise ValueError("--t must be positive")
+def _cmd_bch(args, tol: float) -> dict:
+    n, t = args.n, args.t
     if args.k_range < 0:
         raise ValueError("--k-range must be non-negative")
     word = parse_word(args.word, n)
     eps_values = None if args.epsilon_sweep is None else _parse_sweep(args.epsilon_sweep)
+    if args.format == "csv" and eps_values is None:
+        raise ValueError("CSV export is only available for flat data (spectra and sweeps)")
 
     verifications = []
     results: dict = {"word": str(word)}
@@ -362,16 +373,12 @@ def _cmd_bch(args, tol: float):
                 verifications.append(_check_bool(f"coupling_{family}_k{k:+d}", passed))
         results["coupling_variants"] = variants
 
-    csv_text = None
     if eps_values is not None:
         sweep = []
         for eps in eps_values:
             leak = superposition_leakage(perturb_coupling(word, PerturbationConfig(epsilon=float(eps))))
             sweep.append([float(eps), float(leak)])
         results["sweep"] = sweep
-        csv_lines = ["epsilon,leakage"]
-        csv_lines += [f"{_float_repr(e)},{_float_repr(l)}" for e, l in sweep]
-        csv_text = "\n".join(csv_lines) + "\n"
     if args.epsilon is not None:
         leak = superposition_leakage(
             perturb_coupling(word, PerturbationConfig(epsilon=float(args.epsilon)))
@@ -380,32 +387,13 @@ def _cmd_bch(args, tol: float):
         if args.epsilon == 0.0:
             verifications.append(_check("zero_coupling_leakage", leak, DEFAULT_UNITARITY_TOL))
 
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "bch",
         "inputs": {"n": n, "word": str(word), "t": float(t), "tolerance": float(tol)},
         "results": results,
         "verifications": verifications,
     }
-
-    pretty = [f"bch: n={n}, word={word}"]
-    if "max_deviation" in results:
-        pretty.append(f"all closed forms vs plain product: max deviation {results['max_deviation']:.3e}")
-        for label, dev in results["form_deviations"].items():
-            pretty.append(f"  {label}: {dev:.3e}")
-        agree = sum(1 for v in results["coupling_variants"] if v["passed"])
-        pretty.append(f"coupling variants passed: {agree}/{len(results['coupling_variants'])}")
-    else:
-        pretty.append(f"chain not evaluated: {results['chain_error']}")
-    if "perturbation" in results:
-        p = results["perturbation"]
-        pretty.append(f"epsilon {_float_repr(p['epsilon'])}: leakage {_float_repr(p['leakage'])}")
-    if "sweep" in results:
-        pretty.append("epsilon sweep:")
-        for e, l in results["sweep"]:
-            pretty.append(f"  {_float_repr(e)}  {_float_repr(l)}")
-    pretty += _verification_lines(verifications)
-    return payload, csv_text, "\n".join(pretty) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"equality tolerance (default {DEFAULT_EQ_TOL}, or ${TOL_ENV_VAR})")
 
     p_cog = sub.add_parser("cogwheel", help="standard-form operator, energies, Hamiltonian")
-    p_cog.add_argument("--n", type=int, required=True, help="number of states")
+    p_cog.add_argument("--n", type=int, required=True, help=f"number of states (1..{COGWHEEL_CAP})")
     p_cog.add_argument("--phases", default=None, help="comma-separated phases (default all zero)")
     add_common(p_cog)
 
@@ -464,20 +452,31 @@ def _resolve_tol(args) -> float:
     return tol
 
 
+def _validate(args) -> None:
+    """The --n and --t checks every command shares, made before any work."""
+    if args.command == "cogwheel":
+        if args.n < 1:
+            raise ValueError("--n must be a positive integer")
+        if args.n > COGWHEEL_CAP:
+            raise ValueError(f"--n must be at most {COGWHEEL_CAP}")
+    elif not 2 <= args.n <= SPIN_CAP:
+        raise ValueError(f"--n must be in 2..{SPIN_CAP}")
+    if not args.t > 0:
+        raise ValueError("--t must be positive")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         tol = _resolve_tol(args)
-        payload, csv_text, pretty_text = _HANDLERS[args.command](args, tol)
+        _validate(args)
+        payload = _HANDLERS[args.command](args, tol)
         if args.format == "json":
             rendered = _emit_json(payload) + "\n"
         elif args.format == "csv":
-            if csv_text is None:
-                raise ValueError("CSV export is only available for flat data (spectra and sweeps)")
-            rendered = csv_text
+            rendered = _render_csv(payload)
         else:
-            rendered = pretty_text
+            rendered = _render_pretty(payload)
     except (WordParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -487,7 +486,6 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(rendered)
     return 0 if all(v["passed"] for v in payload["verifications"]) else 1
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

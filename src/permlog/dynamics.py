@@ -20,7 +20,7 @@ import numpy as np
 from .cogwheel import cogwheel_hamiltonian, polynomial_coefficients
 from .linalg import as_matrix, expm
 from .permutation import Permutation
-from .spins import SPIN_CAP, exchange_permutation
+from .spins import _check_pair, _check_spin_count, exchange_permutation
 
 
 class WordParseError(ValueError):
@@ -43,17 +43,13 @@ class ExchangeWord:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not 2 <= self.n_spins <= SPIN_CAP:
-            raise ValueError(f"n_spins must be in 2..{SPIN_CAP}")
+        _check_spin_count(self.n_spins, minimum=2)
         factors = tuple((int(i), int(j)) for i, j in self.factors)
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise ValueError("a word must have at least one factor")
         for i, j in factors:
-            if not (1 <= i <= self.n_spins and 1 <= j <= self.n_spins):
-                raise ValueError(f"spin labels must be in 1..{self.n_spins}, got ({i}, {j})")
-            if i == j:
-                raise ValueError(f"a factor needs two distinct spins, got ({i}, {j})")
+            _check_pair(self.n_spins, i, j)
 
     @property
     def touched(self) -> frozenset[int]:
@@ -213,8 +209,6 @@ def uniform_polynomial_form(perm: Permutation, timestep: float = 1.0) -> np.ndar
     L' | L samples the length-L energy grid at every (L/L')-th point, and the
     inverse-DFT coefficients reproduce the energy at every grid point.
     """
-    if not timestep > 0:
-        raise ValueError("timestep must be positive")
     return polynomial_coefficients(perm.order(), timestep)
 
 

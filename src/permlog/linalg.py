@@ -1,4 +1,4 @@
-"""Dense complex matrix arithmetic: products, adjoints, commutators, exponentials.
+"""Dense complex matrix arithmetic: adjoints, commutators, exponentials.
 
 All routines are pure functions over plain numpy arrays; nothing here calls an
 eigensolver. The exponential is scaling-and-squaring on a truncated series,
@@ -7,8 +7,6 @@ times 2*pi).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,18 +30,6 @@ class NonUnitaryError(ValueError):
     """A matrix expected to be unitary is not, within tolerance."""
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Absolute tolerances: eq_tol for entrywise equality, unitarity_tol for structure checks."""
-
-    eq_tol: float = DEFAULT_EQ_TOL
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL
-
-    def __post_init__(self):
-        if not (self.eq_tol > 0.0 and self.unitarity_tol > 0.0):
-            raise ValueError("tolerances must be strictly positive")
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
     m = np.asarray(a, dtype=complex)
@@ -62,13 +48,6 @@ def _common_dim(a: np.ndarray, b: np.ndarray) -> int:
     if a.shape != b.shape:
         raise DimensionMismatch(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return a.shape[0]
-
-
-def multiply(a, b) -> np.ndarray:
-    """Matrix product of two equal-dimension square matrices."""
-    a, b = as_matrix(a), as_matrix(b)
-    _common_dim(a, b)
-    return a @ b
 
 
 def dagger(a) -> np.ndarray:
@@ -92,11 +71,6 @@ def max_abs_diff(a, b) -> float:
 
 def matrices_equal(a, b, tol: float = DEFAULT_EQ_TOL) -> bool:
     return max_abs_diff(a, b) <= tol
-
-
-def is_unitary(a, tol: float = DEFAULT_UNITARITY_TOL) -> bool:
-    a = as_matrix(a)
-    return max_abs_diff(a @ a.conj().T, identity(a.shape[0])) <= tol
 
 
 def expm(a) -> np.ndarray:

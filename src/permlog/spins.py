@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Union
 
 import numpy as np
 
@@ -25,9 +24,6 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-SpinOperator = Union[Permutation, np.ndarray]
-
 
 def _check_spin_count(n_spins: int, minimum: int = 1) -> None:
     if not minimum <= n_spins <= SPIN_CAP:
@@ -49,8 +45,7 @@ class SpinConfiguration:
     bits: int
 
     def __post_init__(self):
-        if not 2 <= self.n_spins <= SPIN_CAP:
-            raise ValueError(f"n_spins must be in 2..{SPIN_CAP}")
+        _check_spin_count(self.n_spins, minimum=2)
         if not 0 <= self.bits < (1 << self.n_spins):
             raise ValueError(f"bits out of range for {self.n_spins} spins")
 

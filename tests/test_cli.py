@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from permlog.cli import MAX_SWEEP_STEPS, main
+import permlog.cli
+from permlog.cli import COGWHEEL_CAP, MAX_SWEEP_STEPS, _emit_json, main
 
 REFERENCE_ARGS = ["spin", "--n", "4", "--word", "P23 P12 P34", "--t", "1", "--format", "json"]
 
@@ -40,6 +41,25 @@ def test_json_schema_shape(capsys):
 def test_json_floats_carry_17_significant_digits(capsys):
     _, out = run_cli(["cogwheel", "--n", "2", "--format", "json"], capsys)
     assert "3.1415926535897931" in out
+
+
+def test_arrays_with_nan_are_refused():
+    with pytest.raises(ValueError, match="non-finite"):
+        _emit_json(np.array([[1.0, np.nan]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        _emit_json({"h": np.array([complex(0.0, np.nan)])})
+
+
+def test_json_format_renders_nothing_else(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a --format json call rendered another format")
+
+    for name in ("_render_pretty", "_render_csv", "_fmt_matrix", "_fmt_complex", "_verification_lines"):
+        monkeypatch.setattr(permlog.cli, name, refuse)
+    for args in (REFERENCE_ARGS, ["cogwheel", "--n", "4", "--format", "json"]):
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert json.loads(out)["verifications"]
 
 
 def test_complex_numbers_serialize_as_pairs(capsys):
@@ -84,6 +104,18 @@ def test_cogwheel_with_phases_skips_hamiltonian(capsys):
     assert "hamiltonian" not in doc["results"]
     names = [v["name"] for v in doc["verifications"]]
     assert "power_identity" in names
+
+
+def test_cogwheel_size_cap_is_usage_error(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built an operator past the cap")
+
+    monkeypatch.setattr(permlog.cli, "build_standard_form", refuse)
+    code = main(["cogwheel", "--n", str(COGWHEEL_CAP + 1), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --n must be at most {COGWHEEL_CAP}\n"
 
 
 def test_cogwheel_csv_energies(capsys):
@@ -187,11 +219,16 @@ def test_bch_noncommuting_tail_reports_failure(capsys):
     assert failures == ["chain_preconditions"]
 
 
-def test_bch_csv_without_sweep_is_usage_error(capsys):
+def test_bch_csv_without_sweep_is_usage_error(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("evaluated the chain before rejecting the format")
+
+    monkeypatch.setattr(permlog.cli, "bch_chain", refuse)
     code = main(["bch", "--n", "4", "--word", "P23 P12 P34", "--format", "csv"])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 2
-    assert "CSV" in err
+    assert captured.out == ""
+    assert "CSV" in captured.err
 
 
 def test_bch_negative_k_range_is_usage_error(capsys):

@@ -190,6 +190,8 @@ def test_hamiltonian_round_trip_and_conservation(reference_perm):
 def test_hamiltonian_rejects_bad_timestep(reference_perm):
     with pytest.raises(ValueError):
         hamiltonian_from_permutation(reference_perm, 0.0)
+    with pytest.raises(ValueError, match="timestep must be positive"):
+        uniform_polynomial_form(reference_perm, 0.0)
 
 
 @pytest.mark.parametrize("t", [1.0, 0.5, 2.5])

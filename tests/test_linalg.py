@@ -8,17 +8,14 @@ from hypothesis.extra.numpy import arrays
 from permlog.linalg import (
     DimensionMismatch,
     InvolutionViolation,
-    ToleranceConfig,
     commutator,
     dagger,
     exp_involution,
     expm,
     identity,
     is_permutation_matrix,
-    is_unitary,
     matrices_equal,
     max_abs_diff,
-    multiply,
 )
 from permlog.cogwheel import build_standard_form
 from permlog.spins import exchange_permutation
@@ -61,32 +58,11 @@ def involution_examples():
     return [swap2, reflect, p12, p23, householder.astype(complex)]
 
 
-# --- multiply ---------------------------------------------------------------
-
-
-def test_multiply_identity():
-    i2 = identity(2)
-    assert max_abs_diff(multiply(i2, i2), i2) == 0.0
-
-
-def test_multiply_exchange_involution():
-    p12 = exchange_permutation(2, 1, 2).matrix()
-    assert max_abs_diff(multiply(p12, p12), identity(4)) == 0.0
-
-
-def test_multiply_swap_involution():
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert max_abs_diff(multiply(swap, swap), identity(2)) == 0.0
-
-
-def test_multiply_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        multiply(identity(2), identity(3))
-
-
 def test_rejects_nonsquare_and_nonfinite():
     with pytest.raises(DimensionMismatch):
         dagger(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        max_abs_diff(identity(2), identity(3))
     with pytest.raises(ValueError):
         expm(np.array([[np.nan, 0], [0, 0]]))
 
@@ -220,23 +196,6 @@ def test_permutation_matrix_detection():
     assert not is_permutation_matrix(hadamard, EQ_TOL)
     assert not is_permutation_matrix(0.5 * identity(2), EQ_TOL)
     assert not is_permutation_matrix(np.zeros((2, 2)), EQ_TOL)
-
-
-def test_is_unitary():
-    assert is_unitary(build_standard_form(5))
-    assert not is_unitary(2.0 * identity(2))
-
-
-# --- config -----------------------------------------------------------------
-
-
-def test_tolerance_config_validation():
-    cfg = ToleranceConfig()
-    assert cfg.eq_tol == 1e-10 and cfg.unitarity_tol == 1e-12
-    with pytest.raises(ValueError):
-        ToleranceConfig(eq_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(unitarity_tol=-1e-3)
 
 
 def test_matrices_equal_uses_absolute_tolerance():
