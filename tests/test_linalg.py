@@ -58,11 +58,16 @@ def involution_examples():
     return [swap2, reflect, p12, p23, householder.astype(complex)]
 
 
+def test_multiply_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        commutator(identity(2), identity(3))
+    with pytest.raises(DimensionMismatch):
+        max_abs_diff(identity(2), identity(3))
+
+
 def test_rejects_nonsquare_and_nonfinite():
     with pytest.raises(DimensionMismatch):
         dagger(np.zeros((2, 3)))
-    with pytest.raises(DimensionMismatch):
-        max_abs_diff(identity(2), identity(3))
     with pytest.raises(ValueError):
         expm(np.array([[np.nan, 0], [0, 0]]))
 
