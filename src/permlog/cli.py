@@ -56,7 +56,7 @@ from .linalg import (
     is_permutation_matrix,
     max_abs_diff,
 )
-from .spins import SPIN_CAP, SpinConfiguration, four_spin_state_label, number_down, number_up, spinflip
+from .spins import SPIN_CAP, SpinConfiguration, _down_counts, four_spin_state_label, spinflip
 
 SCHEMA_VERSION = 1
 TOL_ENV_VAR = "PERMLOG_TOL"
@@ -297,15 +297,17 @@ def _cmd_spin(args, tol: float) -> dict:
     u = perm.matrix()
     h = report.matrix
 
-    n_up = number_up(n).astype(complex)
-    n_down = number_down(n).astype(complex)
-    flip = spinflip(n).matrix()
+    # For a diagonal D, H @ D is h * d and D @ H is d[:, None] * h. For the spinflip F, H @ F gathers
+    # columns by F.map and F @ H rows by F's inverse, which is F.map because F is an involution.
+    down = _down_counts(n)
+    up = n - down
+    flip = spinflip(n).map
     period = len(coeffs)
     verifications = [
         _check("round_trip", max_abs_diff(cycle_block_expm(perm, h, -1j * t), u), tol),
-        _check("commutes_number_up", max_abs_diff(h @ n_up, n_up @ h), DEFAULT_UNITARITY_TOL),
-        _check("commutes_number_down", max_abs_diff(h @ n_down, n_down @ h), DEFAULT_UNITARITY_TOL),
-        _check("commutes_spinflip", max_abs_diff(h @ flip, flip @ h), DEFAULT_UNITARITY_TOL),
+        _check("commutes_number_up", max_abs_diff(h * up, up[:, None] * h), DEFAULT_UNITARITY_TOL),
+        _check("commutes_number_down", max_abs_diff(h * down, down[:, None] * h), DEFAULT_UNITARITY_TOL),
+        _check("commutes_spinflip", max_abs_diff(h[:, flip], h[flip, :]), DEFAULT_UNITARITY_TOL),
         _check("polynomial_matches_blocks", max_abs_diff(polynomial_matrix(perm, coeffs), h), tol),
         _check_bool("power_lcm_identity", (perm**period).is_identity()),
         _check_bool("multiplicities_total", spec.total_multiplicity == perm.size),

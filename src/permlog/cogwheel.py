@@ -56,7 +56,7 @@ def _check_timestep(t: float) -> None:
 def shift_permutation(n: int) -> Permutation:
     """The abstract cogwheel step m -> (m+1) mod n."""
     _check_size(n)
-    return Permutation(tuple((m + 1) % n for m in range(n)))
+    return Permutation((np.arange(n) + 1) % n)
 
 
 def build_standard_form(n: int, phases=None) -> np.ndarray:

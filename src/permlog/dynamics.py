@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cogwheel import cogwheel_hamiltonian, polynomial_coefficients
+from .cogwheel import _check_timestep, cogwheel_hamiltonian, polynomial_coefficients
 from .linalg import as_matrix, expm
 from .permutation import Permutation
 from .spins import _check_pair, _check_spin_count, exchange_permutation
@@ -152,8 +152,7 @@ def hamiltonian_from_permutation(perm: Permutation, timestep: float = 1.0) -> Bl
     embedded on its span; fixed points carry energy zero. Cycles start at their
     smallest member, which fixes the (gauge) choice of cogwheel origin.
     """
-    if not timestep > 0:
-        raise ValueError("timestep must be positive")
+    _check_timestep(timestep)
     dim = perm.size
     h = np.zeros((dim, dim), dtype=complex)
     per_cycle = []
@@ -171,13 +170,12 @@ def polynomial_matrix(perm: Permutation, coefficients) -> np.ndarray:
     scatter of c_k along the k-th power's image: O(L * 2^N), no matrix products.
     """
     coeffs = np.asarray(coefficients, dtype=complex)
-    step = np.asarray(perm.map)
     columns = np.arange(perm.size)
     image = columns.copy()
     total = np.zeros((perm.size, perm.size), dtype=complex)
     for k, c in enumerate(coeffs):
         if k:
-            image = step[image]
+            image = perm.map[image]
         total[image, columns] += c
     return total
 
@@ -232,8 +230,7 @@ def spectrum(perm: Permutation, timestep: float = 1.0) -> SpectrumReport:
     from different cycles are merged by the exact rational n/L, so no float
     comparison is involved; no numerical diagonalization is performed.
     """
-    if not timestep > 0:
-        raise ValueError("timestep must be positive")
+    _check_timestep(timestep)
     groups: dict[Fraction, tuple[int, list[int]]] = {}
     for cycle_index, cycle in enumerate(perm.cycles()):
         length = len(cycle)

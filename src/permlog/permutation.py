@@ -8,53 +8,55 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Permutation:
     """A bijection on {0..n-1}; ``map[m]`` is the image of m.
 
-    Composition follows matrix convention: ``(p * q)(x) = p(q(x))``, i.e. the
-    right factor acts first, and ``(p * q).matrix() == p.matrix() @ q.matrix()``.
+    ``map`` is a read-only 1-D ``np.intp`` copy of the input sequence. Composition follows
+    matrix convention: ``(p * q)(x) = p(q(x))``, i.e. the right factor acts first, and
+    ``(p * q).matrix() == p.matrix() @ q.matrix()``.
     """
 
-    map: tuple[int, ...]
+    map: np.ndarray
 
     def __post_init__(self):
-        entries = tuple(int(x) for x in self.map)
-        object.__setattr__(self, "map", entries)
-        if len(entries) == 0:
+        try:
+            entries = np.array(self.map, dtype=np.intp)
+        except OverflowError:  # an entry beyond the index range cannot be a point
+            raise ValueError("map is not a bijection on 0..n-1") from None
+        if entries.ndim != 1:
+            raise ValueError(f"map must be one-dimensional, got shape {entries.shape}")
+        if entries.size == 0:
             raise ValueError("a permutation needs at least one point")
-        if sorted(entries) != list(range(len(entries))):
+        if not np.array_equal(np.sort(entries), np.arange(entries.size)):
             raise ValueError("map is not a bijection on 0..n-1")
+        entries.flags.writeable = False
+        object.__setattr__(self, "map", entries)
 
     @property
     def size(self) -> int:
-        return len(self.map)
+        return self.map.size
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def transposition(cls, n: int, a: int, b: int) -> "Permutation":
-        if not (0 <= a < n and 0 <= b < n) or a == b:
-            raise ValueError(f"transposition needs two distinct points in 0..{n - 1}")
-        img = list(range(n))
-        img[a], img[b] = b, a
-        return cls(tuple(img))
+        return cls(np.arange(n))
 
     def __call__(self, index: int) -> int:
-        return self.map[index]
+        return int(self.map[index])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Permutation) and np.array_equal(self.map, other.map)
+
+    def __hash__(self) -> int:
+        return hash(self.map.tobytes())
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.size != other.size:
             raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        return Permutation(tuple(self.map[q] for q in other.map))
+        return Permutation(self.map[other.map])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for src, dst in enumerate(self.map):
-            inv[dst] = src
-        return Permutation(tuple(inv))
+        return Permutation(np.argsort(self.map))
 
     def __pow__(self, exponent: int) -> "Permutation":
         base = self if exponent >= 0 else self.inverse()
@@ -68,10 +70,11 @@ class Permutation:
         return out
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.map))
+        return np.array_equal(self.map, np.arange(self.size))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each starting at its smallest member, sorted by that member."""
+        image = self.map.tolist()  # Python ints: list indexing beats numpy scalar indexing in a loop
         seen: set[int] = set()
         out: list[tuple[int, ...]] = []
         for start in range(self.size):
@@ -79,11 +82,11 @@ class Permutation:
                 continue
             cyc = [start]
             seen.add(start)
-            x = self.map[start]
+            x = image[start]
             while x != start:
                 cyc.append(x)
                 seen.add(x)
-                x = self.map[x]
+                x = image[x]
             out.append(tuple(cyc))
         return tuple(out)
 
@@ -97,5 +100,5 @@ class Permutation:
     def matrix(self, dtype=complex) -> np.ndarray:
         """The matrix sending basis vector m to basis vector map[m] (one 1 per column)."""
         m = np.zeros((self.size, self.size), dtype=dtype)
-        m[list(self.map), range(self.size)] = 1
+        m[self.map, np.arange(self.size)] = 1
         return m

@@ -86,28 +86,18 @@ class SpinConfiguration:
         return SpinConfiguration(self.n_spins, self.bits ^ ((1 << self.n_spins) - 1))
 
 
-def _swap_bits(x: int, pos_a: int, pos_b: int) -> int:
-    a = (x >> pos_a) & 1
-    b = (x >> pos_b) & 1
-    if a != b:
-        x ^= (1 << pos_a) | (1 << pos_b)
-    return x
-
-
 def exchange_permutation(n_spins: int, i: int, j: int) -> Permutation:
     """The involution swapping the states of spins i and j in every configuration."""
     _check_spin_count(n_spins, minimum=2)
     _check_pair(n_spins, i, j)
-    pos_i, pos_j = n_spins - i, n_spins - j
-    return Permutation(tuple(_swap_bits(x, pos_i, pos_j) for x in range(1 << n_spins)))
-
-
-def _kron_chain(factors) -> np.ndarray:
-    return reduce(np.kron, factors)
+    a, b = n_spins - i, n_spins - j
+    x = np.arange(1 << n_spins)
+    # flip both bits exactly where they differ
+    return Permutation(x ^ ((((x >> a) ^ (x >> b)) & 1) * ((1 << a) | (1 << b))))
 
 
 def _one_site(n_spins: int, k: int, op: np.ndarray) -> np.ndarray:
-    return _kron_chain([op if site == k else PAULI_I for site in range(1, n_spins + 1)])
+    return reduce(np.kron, [op if site == k else PAULI_I for site in range(1, n_spins + 1)])
 
 
 def exchange_pauli(n_spins: int, i: int, j: int) -> np.ndarray:
@@ -121,24 +111,29 @@ def exchange_pauli(n_spins: int, i: int, j: int) -> np.ndarray:
     return total / 2.0
 
 
+def _down_counts(n_spins: int) -> np.ndarray:
+    """The number of down spins in each configuration: the diagonal of number_down."""
+    x = np.arange(1 << n_spins)
+    return sum((x >> s) & 1 for s in range(n_spins))
+
+
 def number_up(n_spins: int) -> np.ndarray:
     """Diagonal operator counting up spins: (N/2)*I + sum_i sigma_i^z / 2."""
     _check_spin_count(n_spins)
-    counts = [n_spins - bin(x).count("1") for x in range(1 << n_spins)]
-    return np.diag(counts).astype(int)
+    return np.diag(n_spins - _down_counts(n_spins))
 
 
 def number_down(n_spins: int) -> np.ndarray:
     """Diagonal operator counting down spins; equals N*I - number_up(N)."""
     _check_spin_count(n_spins)
-    return n_spins * np.eye(1 << n_spins, dtype=int) - number_up(n_spins)
+    return np.diag(_down_counts(n_spins))
 
 
 def spinflip(n_spins: int) -> Permutation:
     """Total spinflip (every up becomes down and vice versa); an involution."""
     _check_spin_count(n_spins)
     mask = (1 << n_spins) - 1
-    return Permutation(tuple(x ^ mask for x in range(1 << n_spins)))
+    return Permutation(np.arange(1 << n_spins) ^ mask)
 
 
 # Bookkeeping labels 1..16 for four spins, grouped by how the reference update

@@ -1,12 +1,22 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import permlog.cli
 from permlog.cli import COGWHEEL_CAP, MAX_SWEEP_STEPS, _emit_json, main
+from permlog.dynamics import (
+    BlockHamiltonianReport,
+    UntouchedSpinWarning,
+    evolution_permutation,
+    hamiltonian_from_permutation,
+    parse_word,
+)
+from permlog.linalg import max_abs_diff
+from permlog.spins import number_down, number_up, spinflip
 
 REFERENCE_ARGS = ["spin", "--n", "4", "--word", "P23 P12 P34", "--t", "1", "--format", "json"]
 
@@ -168,7 +178,61 @@ def test_spin_pretty_shows_labels(capsys):
     assert "uuud -> uduu -> duuu -> uudu" in out
 
 
+COMMUTATION_CHECKS = ("commutes_number_up", "commutes_number_down", "commutes_spinflip")
+
+
+def dense_commutation_errors(h, n):
+    """The dense products the spin command's commutation checks stand for."""
+    ops = (number_up(n).astype(complex), number_down(n).astype(complex), spinflip(n).matrix())
+    return {name: max_abs_diff(h @ op, op @ h) for name, op in zip(COMMUTATION_CHECKS, ops)}
+
+
+def reported_errors(out):
+    return {v["name"]: v["max_error"] for v in json.loads(out)["verifications"]}
+
+
+@pytest.mark.parametrize(
+    "n, word, t",
+    [(2, "P12", 1.0), (4, "P23 P12 P34", 0.37), (5, "(1 4)(2 5)(3 4)(1 2)", 1.0), (6, "(1 6)(2 3)(4 5)(2 6)", 2.5)],
+)
+def test_spin_commutation_errors_equal_dense_products(n, word, t, capsys):
+    code, out = run_cli(["spin", "--n", str(n), "--word", word, "--t", str(t), "--format", "json"], capsys)
+    assert code == 0
+    h = hamiltonian_from_permutation(evolution_permutation(parse_word(word, n)), t).matrix
+    got = reported_errors(out)
+    assert {name: got[name] for name in COMMUTATION_CHECKS} == dense_commutation_errors(h, n)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_spin_commutation_errors_equal_dense_products_off_symmetry(n, capsys, monkeypatch):
+    # a random H commutes with none of the three operators, so every error is nonzero
+    rng = np.random.default_rng(n)
+    h = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    monkeypatch.setattr(
+        permlog.cli, "hamiltonian_from_permutation",
+        lambda perm, t: BlockHamiltonianReport(matrix=h, per_cycle=(), timestep=t),
+    )
+    monkeypatch.setattr(permlog.cli, "cycle_block_expm", lambda perm, m, scale: perm.matrix())
+    word = " ".join(f"P{i}{i + 1}" for i in range(1, n))
+    code, out = run_cli(["spin", "--n", str(n), "--word", word, "--format", "json"], capsys)
+    assert code == 1
+    got = reported_errors(out)
+    dense = dense_commutation_errors(h, n)
+    assert all(dense[name] > 0 for name in COMMUTATION_CHECKS)
+    assert {name: got[name] for name in COMMUTATION_CHECKS} == dense
+
+
 # --- bch command --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k_range", ["0", "2"])
+def test_bch_warns_once_per_call(k_range, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["bch", "--n", "5", "--word", "P23 P12 P34", "--k-range", k_range, "--format", "json"])
+    capsys.readouterr()
+    assert code == 0
+    assert [w.category for w in caught] == [UntouchedSpinWarning]
 
 
 def test_bch_reference_chain(capsys):
