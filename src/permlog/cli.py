@@ -4,9 +4,10 @@ Each command builds one result model, the JSON payload (numpy arrays kept as
 arrays), and main renders it in the requested format only. JSON documents
 carry fixed field order and fixed float formatting (17 significant digits), so
 identical invocations produce byte-identical output. Complex numbers serialize
-as [re, im] pairs and matrices as row-major nested arrays. CSV export exists
+as [re, im] pairs and matrices as row-major nested arrays; float and complex
+arrays are formatted a row at a time into one output buffer. CSV export exists
 only for flat data (energy levels and perturbation sweeps). Exit codes: 0 all verifications passed, 1 some verification failed,
-2 usage error. The PERMLOG_TOL environment variable overrides the default
+2 usage error or out of memory. The PERMLOG_TOL environment variable overrides the default
 equality tolerance; --tol overrides both.
 """
 
@@ -75,22 +76,68 @@ def _float_repr(x: float) -> str:
 
 
 def _emit_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(value, np.ndarray):
-        return _emit_json(value.tolist(), indent)
-    if isinstance(value, dict):
+    out: list[str] = []
+    _write_json(out, value, indent)
+    return "".join(out)
+
+
+def _write_json(out: list[str], value, indent: int) -> None:
+    """Append the document for value to out, one chunk at a time."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fc" and value.ndim:
+        if not np.isfinite(value).all():
+            raise ValueError("refusing to serialize a non-finite number")
+        _write_array(out, value, indent)
+    elif isinstance(value, np.ndarray):
+        _write_json(out, value.tolist(), indent)
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
-        rows = [f'{pad}  {json.dumps(key)}: {_emit_json(val, indent + 1)}' for key, val in value.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            return "[]"
-        if all(isinstance(x, (bool, int, float, np.integer, np.floating)) for x in items):
-            return "[" + ", ".join(_emit_json(x) for x in items) + "]"
-        rows = [f"{pad}  {_emit_json(x, indent + 1)}" for x in items]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+            out.append("{}")
+            return
+        pad = "  " * indent
+        sep = "{\n"
+        for key, val in value.items():
+            out.append(f"{sep}{pad}  {json.dumps(key)}: ")
+            _write_json(out, val, indent + 1)
+            sep = ",\n"
+        out.append(f"\n{pad}}}")
+    elif isinstance(value, (list, tuple)):
+        if all(isinstance(x, (bool, int, float, np.integer, np.floating)) for x in value):
+            out.append("[" + ", ".join(map(_scalar_json, value)) + "]")
+        else:
+            _write_items(out, value, indent, _write_json)
+    else:
+        out.append(_scalar_json(value))
+
+
+def _write_items(out: list[str], items, indent: int, write) -> None:
+    """A non-empty sequence as an array with one item per line, each written by write."""
+    pad = "  " * indent
+    sep = "[\n"
+    for item in items:
+        out.append(f"{sep}{pad}  ")
+        write(out, item, indent + 1)
+        sep = ",\n"
+    out.append(f"\n{pad}]")
+
+
+def _write_array(out: list[str], a: np.ndarray, indent: int) -> None:
+    """A finite float or complex array as nested rows; each 1-D row is one template fill.
+
+    "%.17g" % x is format(x, ".17g") for a Python float, and .tolist() makes every entry one.
+    """
+    if not len(a):
+        out.append("[]")
+    elif a.ndim > 1:
+        _write_items(out, a, indent, _write_array)
+    elif a.dtype.kind == "c":
+        pad = "  " * indent
+        parts = np.column_stack([a.real, a.imag]).ravel().tolist()
+        out.append("[\n" + ",\n".join([f"{pad}  [%.17g, %.17g]"] * len(a)) % tuple(parts) + f"\n{pad}]")
+    else:
+        out.append("[" + ", ".join(["%.17g"] * len(a)) % tuple(a.tolist()) + "]")
+
+
+def _scalar_json(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -116,9 +163,14 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _fmt_matrix(m: np.ndarray, label: str) -> list[str]:
-    lines = [f"{label} ({m.shape[0]}x{m.shape[1]}):"]
+    """One line per row: each row's cells are one template fill, as _fmt_complex would write them."""
+    cols = m.shape[1]
+    cells = "%+.6g%+.6gi\0" * cols
+    line = "  " + "  ".join(["%22s"] * cols)
+    lines = [f"{label} ({m.shape[0]}x{cols}):"]
     for row in m:
-        lines.append("  " + "  ".join(f"{_fmt_complex(z):>22s}" for z in row))
+        parts = np.column_stack([row.real, row.imag]).ravel().tolist()
+        lines.append(line % tuple((cells % tuple(parts)).split("\0")[:-1]))
     return lines
 
 
@@ -294,7 +346,6 @@ def _cmd_spin(args, tol: float) -> dict:
     report = hamiltonian_from_permutation(perm, t)
     coeffs = uniform_polynomial_form(perm, t)
     spec = spectrum(perm, t)
-    u = perm.matrix()
     h = report.matrix
 
     # For a diagonal D, H @ D is h * d and D @ H is d[:, None] * h. For the spinflip F, H @ F gathers
@@ -304,7 +355,7 @@ def _cmd_spin(args, tol: float) -> dict:
     flip = spinflip(n).map
     period = len(coeffs)
     verifications = [
-        _check("round_trip", max_abs_diff(cycle_block_expm(perm, h, -1j * t), u), tol),
+        _check("round_trip", max_abs_diff(cycle_block_expm(perm, h, -1j * t), perm.matrix()), tol),
         _check("commutes_number_up", max_abs_diff(h * up, up[:, None] * h), DEFAULT_UNITARITY_TOL),
         _check("commutes_number_down", max_abs_diff(h * down, down[:, None] * h), DEFAULT_UNITARITY_TOL),
         _check("commutes_spinflip", max_abs_diff(h[:, flip], h[flip, :]), DEFAULT_UNITARITY_TOL),
@@ -481,6 +532,9 @@ def main(argv=None) -> int:
             rendered = _render_pretty(payload)
     except (WordParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

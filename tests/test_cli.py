@@ -5,9 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import permlog.cli
-from permlog.cli import COGWHEEL_CAP, MAX_SWEEP_STEPS, _emit_json, main
+from permlog.cli import COGWHEEL_CAP, MAX_SWEEP_STEPS, _emit_json, _fmt_complex, _fmt_matrix, main
 from permlog.dynamics import (
     BlockHamiltonianReport,
     UntouchedSpinWarning,
@@ -58,6 +61,132 @@ def test_arrays_with_nan_are_refused():
         _emit_json(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError, match="non-finite"):
         _emit_json({"h": np.array([complex(0.0, np.nan)])})
+
+
+# --- the JSON writer against the recursive emitter it replaced --------------------------------
+
+
+def reference_float_repr(x) -> str:
+    if not np.isfinite(x):
+        raise ValueError("refusing to serialize a non-finite number")
+    return format(float(x), ".17g")
+
+
+def reference_emit_json(value, indent: int = 0) -> str:
+    """The previous emitter: one recursive call and one float format per entry."""
+    pad = "  " * indent
+    if isinstance(value, np.ndarray):
+        return reference_emit_json(value.tolist(), indent)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        rows = [f"{pad}  {json.dumps(key)}: {reference_emit_json(val, indent + 1)}" for key, val in value.items()]
+        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+        if not items:
+            return "[]"
+        if all(isinstance(x, (bool, int, float, np.integer, np.floating)) for x in items):
+            return "[" + ", ".join(reference_emit_json(x) for x in items) + "]"
+        rows = [f"{pad}  {reference_emit_json(x, indent + 1)}" for x in items]
+        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return reference_float_repr(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return "[" + reference_float_repr(value.real) + ", " + reference_float_repr(value.imag) + "]"
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e-17, -1e-17, 1.0, 0.1]
+EDGE_FLOAT32 = [float(np.float32(x)) for x in (0.0, -0.0, 1e-45, -1e-45, 3.4028234663852886e38, 1e-17, 0.1)]
+SHAPES = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+
+
+@st.composite
+def float_arrays(draw):
+    kind = draw(st.sampled_from(["float64", "complex128", "float32"]))
+    shape = draw(SHAPES)
+    if kind == "float32":
+        elements = st.one_of(st.sampled_from(EDGE_FLOAT32), st.floats(width=32, allow_nan=False, allow_infinity=False))
+        return draw(arrays(np.float32, shape, elements=elements))
+    elements = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    re = draw(arrays(np.float64, shape, elements=elements))
+    if kind == "float64":
+        return re
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = re
+    z.imag = draw(arrays(np.float64, shape, elements=elements))
+    return z
+
+
+NESTINGS = [
+    lambda a: a,
+    lambda a: {"h": a},
+    lambda a: [a, 1, "x", None],
+    lambda a: {"results": {"pair": [a, a], "n": 3, "t": 0.37}, "empty": {}, "flags": [True, False]},
+    lambda a: [[a], (a,), {"z": a}],
+]
+
+
+@given(float_arrays(), st.sampled_from(NESTINGS), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_emit_json_equals_the_recursive_emitter(a, nest, indent):
+    doc = nest(a)
+    assert _emit_json(doc, indent) == reference_emit_json(doc, indent)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 5, -1])
+@pytest.mark.parametrize("part", ["float", "real", "imag"])
+def test_non_finite_array_entries_are_refused(bad, where, part, capsys, monkeypatch):
+    a = np.ones((3, 4), dtype=float if part == "float" else complex)
+    flat = a.reshape(-1)
+    if part == "imag":
+        flat.imag[where] = bad
+    else:
+        flat.real[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        _emit_json({"h": a})
+    monkeypatch.setitem(
+        permlog.cli._HANDLERS, "cogwheel", lambda args, tol: {"results": {"h": a}, "verifications": []}
+    )
+    code = main(["cogwheel", "--n", "2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: refusing to serialize a non-finite number\n"
+
+
+def test_pretty_matrix_rows_equal_per_entry_cells():
+    edge = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-17, 5e-324, 1.5, -2.25e10])
+    rng = np.random.default_rng(0)
+    z = np.empty((6, 5), dtype=complex)
+    z.real = rng.choice(edge, z.shape)
+    z.imag = rng.choice(edge, z.shape)
+    for m in (z, z.real, np.eye(3), rng.normal(size=(4, 4)) + 1e-17j):
+        expected = ["  " + "  ".join(f"{_fmt_complex(v):>22s}" for v in row) for row in m]
+        assert _fmt_matrix(m, "M") == [f"M ({m.shape[0]}x{m.shape[1]}):"] + expected
+
+
+def test_spin_json_formats_matrix_rows_in_bulk(capsys, monkeypatch):
+    # a structural guard, not a timing test: the parent emitter made 524,327 calls here
+    calls = []
+    original = permlog.cli._float_repr
+    monkeypatch.setattr(permlog.cli, "_float_repr", lambda x: calls.append(x) or original(x))
+    word = " ".join(f"P{i}{i + 1}" for i in range(1, 9))
+    code, out = run_cli(["spin", "--n", "9", "--word", word, "--format", "json"], capsys)
+    assert code == 0
+    assert len(out) > 4_000_000
+    assert len(calls) < 1000
 
 
 def test_json_format_renders_nothing_else(capsys, monkeypatch):
@@ -368,6 +497,30 @@ def test_output_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(target.read_text())
     assert doc["command"] == "spin"
+
+
+def test_memory_error_in_a_command_is_a_usage_error(capsys, monkeypatch):
+    def exhaust(args, tol):
+        raise MemoryError("Unable to allocate 4.00 GiB for an array")
+
+    monkeypatch.setitem(permlog.cli._HANDLERS, "spin", exhaust)
+    code = main(REFERENCE_ARGS)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 4.00 GiB for an array\n"
+
+
+def test_memory_error_while_rendering_is_a_usage_error(capsys, monkeypatch):
+    def exhaust(value, indent=0):
+        raise MemoryError()
+
+    monkeypatch.setattr(permlog.cli, "_emit_json", exhaust)
+    code = main(REFERENCE_ARGS)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: allocation failed\n"
 
 
 def test_console_module_invocation():
