@@ -9,10 +9,15 @@ contrast, :func:`bch_series_truncated` evaluates the generic commutator series
 through fourth order, which does not terminate for noncommuting exchanges.
 
 Each form is evaluated from the structure of its factors rather than as a
-dense 2^N x 2^N product: multiplying by exp(-i*theta*P) for an exchange P is
-one column gather, the merged tail sum is a local gate on the at most four
-spins it touches, and exp(-i*T*H) is taken cycle block by cycle block. The
-dense products remain in the tests as independent oracles.
+dense 2^N x 2^N product. An exchange never changes how many spins are down, so
+every product of exchange exponentials is block diagonal over the N + 1
+sectors of fixed down count, of sizes C(N, k). The products are formed one
+square block per sector: multiplying by exp(-i*theta*P) for an exchange P is
+one column gather within the block, the merged tail sum is a local gate on the
+at most four spins it touches, and exp(-i*T*H) is taken cycle block by cycle
+block. A dense matrix is assembled from the blocks only where a public
+function returns one. The dense products remain in the tests as independent
+oracles.
 
 Perturbing the pi/2 couplings breaks the closed forms: the product stops being
 a phased permutation, quantified by :func:`superposition_leakage`.
@@ -21,7 +26,7 @@ a phased permutation, quantified by :func:`superposition_leakage`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -45,7 +50,7 @@ from .linalg import (
     max_abs_diff,
 )
 from .permutation import Permutation
-from .spins import exchange_permutation
+from .spins import _down_counts, exchange_permutation
 
 FORM_FACTORED = "exp_each_factor"
 FORM_TAIL_SUM = "exp_tail_sum"
@@ -79,18 +84,66 @@ class PerturbationConfig:
 
 @dataclass(frozen=True, eq=False)
 class BchChainResult:
-    """Plain permutation product alongside the closed exponential forms."""
+    """Plain permutation product alongside the closed exponential forms.
+
+    ``form_deviations`` holds each form's largest entrywise departure from the
+    baseline, ``max_abs_diff(form, baseline)``, in the order of ``forms``.
+    """
 
     baseline: np.ndarray
     forms: tuple[tuple[str, np.ndarray], ...]
-    max_deviation: float
+    form_deviations: tuple[tuple[str, float], ...]
+
+    @property
+    def max_deviation(self) -> float:
+        return max(dev for _, dev in self.form_deviations)
 
     def deviations(self) -> dict[str, float]:
-        return {label: max_abs_diff(m, self.baseline) for label, m in self.forms}
+        return dict(self.form_deviations)
 
 
-def _factor_permutations(word: ExchangeWord) -> list[Permutation]:
-    return [exchange_permutation(word.n_spins, i, j) for i, j in word.factors]
+@lru_cache(maxsize=None)
+def _sectors(n_spins: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The configurations with k down spins for k = 0..N, ascending, and each one's sector position.
+
+    Built on first use and cached, one entry per spin count (at most SPIN_CAP - 1 of
+    them); the arrays are read-only.
+    """
+    counts = _down_counts(n_spins)
+    order = np.argsort(counts, kind="stable")
+    members = tuple(np.split(order, np.cumsum(np.bincount(counts))[:-1]))
+    position = np.empty(order.size, dtype=np.intp)
+    for idx in members:
+        position[idx] = np.arange(idx.size)
+    for a in (*members, position):
+        a.flags.writeable = False
+    return members, position
+
+
+def _local_factors(word: ExchangeWord) -> list[list[Permutation]]:
+    """Each factor of the word restricted to each down-count sector: ``[sector][factor]``.
+
+    The Permutation constructor refuses a map that is not a bijection, so a
+    factor that left its sector could not yield a block.
+    """
+    members, position = _sectors(word.n_spins)
+    perms = [exchange_permutation(word.n_spins, i, j) for i, j in word.factors]
+    return [[Permutation(position[p.map[idx]]) for p in perms] for idx in members]
+
+
+def _assemble(blocks: Sequence[np.ndarray], n_spins: int) -> np.ndarray:
+    """The dense 2^N x 2^N matrix with the given sector blocks and zeros elsewhere."""
+    members, _ = _sectors(n_spins)
+    out = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
+    for idx, block in zip(members, blocks):
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
+def _sector_blocks(m: np.ndarray, n_spins: int) -> list[np.ndarray]:
+    """The sector blocks of a dense 2^N x 2^N matrix."""
+    members, _ = _sectors(n_spins)
+    return [m[np.ix_(idx, idx)] for idx in members]
 
 
 def _times_exp_involution(m: np.ndarray, p: Permutation, theta: float) -> np.ndarray:
@@ -127,32 +180,48 @@ def _times_exp_tail_sum(m: np.ndarray, word: ExchangeWord, theta: float) -> np.n
 
 
 def _require_commuting_tail(word: ExchangeWord) -> None:
+    """Two exchanges commute exactly when their spin pairs are equal or disjoint."""
     if len(word.factors) < 2:
         raise PreconditionViolation("merged-tail forms need at least two factors")
     (i1, j1), (i2, j2) = word.factors[-2], word.factors[-1]
-    p = exchange_permutation(word.n_spins, i1, j1)
-    q = exchange_permutation(word.n_spins, i2, j2)
-    if p * q != q * p:
+    pair, other = {i1, j1}, {i2, j2}
+    if pair != other and pair & other:
         raise PreconditionViolation(
             f"the last two factors P{i1}{j1} and P{i2}{j2} do not commute"
         )
 
 
-def _chain_forms(word: ExchangeWord, theta: float) -> dict[str, np.ndarray]:
-    """The three factored forms at coupling theta (tail must already be checked)."""
-    perms = _factor_permutations(word)
-    m = len(perms)
-    head = identity(perms[0].size)
-    for p in perms[:-2]:
-        head = _times_exp_involution(head, p, theta)
-    factored = _times_exp_involution(_times_exp_involution(head, perms[-2], theta), perms[-1], theta)
-    tail_sum = _times_exp_tail_sum(head, word, theta)
-    tail_product = _times_exp_involution(head, perms[-2] * perms[-1], theta)
+def _sector_chain_forms(
+    word: ExchangeWord, local: list[list[Permutation]], theta: float
+) -> dict[str, list[np.ndarray]]:
+    """The three factored forms at coupling theta, one block per sector (tail already checked).
+
+    The tail-sum form contracts its gate onto the head assembled dense, so its
+    entries keep the summation order of the full-matrix ``tensordot``.
+    """
+    m = len(word.factors)
+    heads, factored, tail_product = [], [], []
+    for factors in local:
+        head = identity(factors[0].size)
+        for p in factors[:-2]:
+            head = _times_exp_involution(head, p, theta)
+        heads.append(head)
+        last2 = _times_exp_involution(head, factors[-2], theta)
+        factored.append((1j**m) * _times_exp_involution(last2, factors[-1], theta))
+        merged = _times_exp_involution(head, factors[-2] * factors[-1], theta)
+        tail_product.append((1j ** (m - 1)) * merged)
+    tail_sum = (1j**m) * _times_exp_tail_sum(_assemble(heads, word.n_spins), word, theta)
     return {
-        FORM_FACTORED: (1j**m) * factored,
-        FORM_TAIL_SUM: (1j**m) * tail_sum,
-        FORM_TAIL_PRODUCT: (1j ** (m - 1)) * tail_product,
+        FORM_FACTORED: factored,
+        FORM_TAIL_SUM: _sector_blocks(tail_sum, word.n_spins),
+        FORM_TAIL_PRODUCT: tail_product,
     }
+
+
+def _chain_forms(word: ExchangeWord, theta: float) -> dict[str, np.ndarray]:
+    """The three factored forms at coupling theta as dense matrices (tail already checked)."""
+    blocks = _sector_chain_forms(word, _local_factors(word), theta)
+    return {label: _assemble(form, word.n_spins) for label, form in blocks.items()}
 
 
 def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> BchChainResult:
@@ -164,20 +233,28 @@ def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> BchChainResult:
       * exp_tail_product: i^(m-1) * (head exponentials) * exp(-i*(pi/2)*P_last2 @ P_last)
       * exp_hamiltonian:  exp(-i*T*H) with H the uniform polynomial Hamiltonian
     All four equal the permutation product exactly; max_deviation reports the
-    worst entrywise departure actually observed.
+    worst entrywise departure actually observed. The first three forms are
+    compared with the baseline sector by sector; off the sectors both are zero.
     """
     _require_commuting_tail(word)
     perm = evolution_permutation(word)
     baseline = perm.matrix()
-    forms = _chain_forms(word, np.pi / 2)
+    blocks = _sector_chain_forms(word, _local_factors(word), np.pi / 2)
+    baseline_blocks = _sector_blocks(baseline, word.n_spins)
+    deviations = {
+        label: max(max_abs_diff(b, base) for b, base in zip(form, baseline_blocks))
+        for label, form in blocks.items()
+    }
+    forms = {label: _assemble(form, word.n_spins) for label, form in blocks.items()}
     coeffs = uniform_polynomial_form(perm, timestep)
     forms[FORM_HAMILTONIAN] = cycle_block_expm(perm, polynomial_matrix(perm, coeffs), -1j * timestep)
-    ordered = tuple(
-        (label, forms[label])
-        for label in (FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT, FORM_HAMILTONIAN)
+    deviations[FORM_HAMILTONIAN] = max_abs_diff(forms[FORM_HAMILTONIAN], baseline)
+    labels = (FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT, FORM_HAMILTONIAN)
+    return BchChainResult(
+        baseline=baseline,
+        forms=tuple((label, forms[label]) for label in labels),
+        form_deviations=tuple((label, deviations[label]) for label in labels),
     )
-    max_dev = max(max_abs_diff(mat, baseline) for _, mat in ordered)
-    return BchChainResult(baseline=baseline, forms=ordered, max_deviation=max_dev)
 
 
 def coupling_variant_check(
@@ -204,11 +281,15 @@ def coupling_variant_check(
             FORM_TAIL_SUM: (-1.0) ** m,
             FORM_TAIL_PRODUCT: (-1.0) ** (m - 1),
         }
-    # the evolution permutation as the product of its factors, which does not warn again
-    baseline = reduce(Permutation.__mul__, _factor_permutations(word)).matrix()
-    forms = _chain_forms(word, theta)
+    local = _local_factors(word)
+    # each sector's block of the evolution permutation, as the product of its local
+    # factors; evolution_permutation would warn about untouched spins again
+    baselines = [reduce(Permutation.__mul__, factors).matrix() for factors in local]
+    forms = _sector_chain_forms(word, local, theta)
     return all(
-        max_abs_diff(mat, signs[label] * baseline) <= tol for label, mat in forms.items()
+        max_abs_diff(block, signs[label] * base) <= tol
+        for label, blocks in forms.items()
+        for block, base in zip(blocks, baselines)
     )
 
 
@@ -247,16 +328,34 @@ def superposition_leakage(m, unitarity_tol: float = DEFAULT_UNITARITY_TOL) -> fl
     return float(min(1.0, max(0.0, (1.0 - column_peaks).max())))
 
 
+def _perturbed_blocks(word: ExchangeWord, config: PerturbationConfig) -> list[np.ndarray]:
+    """The sector blocks of :func:`perturb_coupling`'s product."""
+    m = len(word.factors)
+    offsets = config.offsets(m)
+    base = (2 * config.k + 0.5) * np.pi
+    blocks = []
+    for factors in _local_factors(word):
+        block = identity(factors[0].size)
+        for p, eps in zip(factors, offsets):
+            block = _times_exp_involution(block, p, base + eps)
+        blocks.append((1j**m) * block)  # a power of i multiplies exactly, so it is applied once
+    return blocks
+
+
 def perturb_coupling(word: ExchangeWord, config: PerturbationConfig = PerturbationConfig()) -> np.ndarray:
     """Product over factors of i * exp(-i*((2k + 1/2)*pi + epsilon_f) * P_f), in word order.
 
     At zero offsets this reproduces the exact permutation product; any nonzero
     offset generically leaks weight off the permutation pattern.
     """
-    perms = _factor_permutations(word)
-    offsets = config.offsets(len(perms))
-    base = (2 * config.k + 0.5) * np.pi
-    out = identity(perms[0].size)
-    for p, eps in zip(perms, offsets):
-        out = _times_exp_involution(out, p, base + eps)
-    return (1j ** len(perms)) * out  # a power of i multiplies exactly, so it is applied once
+    return _assemble(_perturbed_blocks(word, config), word.n_spins)
+
+
+def perturbation_leakage(word: ExchangeWord, config: PerturbationConfig = PerturbationConfig()) -> float:
+    """``superposition_leakage(perturb_coupling(word, config))``, without the dense product.
+
+    The product is block diagonal over the down-count sectors, so each block is
+    checked for unitarity with the same tolerance and no column's peak lies
+    outside its block: the leakage is the largest of the blocks' leakages.
+    """
+    return max(superposition_leakage(block) for block in _perturbed_blocks(word, config))

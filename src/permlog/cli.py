@@ -26,8 +26,7 @@ from .bch import (
     PreconditionViolation,
     bch_chain,
     coupling_variant_check,
-    perturb_coupling,
-    superposition_leakage,
+    perturbation_leakage,
 )
 from .cogwheel import (
     build_standard_form,
@@ -416,7 +415,7 @@ def _cmd_bch(args, tol: float) -> dict:
         results["form_deviations"] = {
             label: float(dev) for label, dev in chain.deviations().items()
         }
-        for label, dev in chain.deviations().items():
+        for label, dev in results["form_deviations"].items():
             verifications.append(_check(f"form_{label}", dev, tol))
         variants = []
         for family in COUPLING_FAMILIES:
@@ -429,13 +428,11 @@ def _cmd_bch(args, tol: float) -> dict:
     if eps_values is not None:
         sweep = []
         for eps in eps_values:
-            leak = superposition_leakage(perturb_coupling(word, PerturbationConfig(epsilon=float(eps))))
+            leak = perturbation_leakage(word, PerturbationConfig(epsilon=float(eps)))
             sweep.append([float(eps), float(leak)])
         results["sweep"] = sweep
     if args.epsilon is not None:
-        leak = superposition_leakage(
-            perturb_coupling(word, PerturbationConfig(epsilon=float(args.epsilon)))
-        )
+        leak = perturbation_leakage(word, PerturbationConfig(epsilon=float(args.epsilon)))
         results["perturbation"] = {"epsilon": float(args.epsilon), "leakage": float(leak)}
         if args.epsilon == 0.0:
             verifications.append(_check("zero_coupling_leakage", leak, DEFAULT_UNITARITY_TOL))

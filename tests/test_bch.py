@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permlog.bch
 from permlog.bch import (
     COUPLING_FAMILIES,
     FORM_FACTORED,
@@ -18,9 +20,10 @@ from permlog.bch import (
     bch_series_truncated,
     coupling_variant_check,
     perturb_coupling,
+    perturbation_leakage,
     superposition_leakage,
 )
-from permlog.bch import _chain_forms, _times_exp_involution
+from permlog.bch import _chain_forms, _require_commuting_tail, _sectors, _times_exp_involution
 from permlog.dynamics import (
     ExchangeWord,
     evolution_permutation,
@@ -93,6 +96,20 @@ def test_chain_requires_two_factors():
 def test_chain_works_on_other_commuting_tails():
     result = bch_chain(parse_word("P23 P45 P12 P45 P12", 5), 1.0)
     assert result.max_deviation < CHAIN_TOL
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_tail_pair_rule_matches_permutation_commutation(n):
+    pairs = list(itertools.permutations(range(1, n + 1), 2))
+    for (a, b), (c, d) in itertools.product(pairs, repeat=2):
+        p, q = exchange_permutation(n, a, b), exchange_permutation(n, c, d)
+        word = ExchangeWord(n_spins=n, factors=((a, b), (c, d)))
+        if p * q == q * p:
+            _require_commuting_tail(word)
+        else:
+            with pytest.raises(PreconditionViolation) as caught:
+                _require_commuting_tail(word)
+            assert str(caught.value) == f"the last two factors P{a}{b} and P{c}{d} do not commute"
 
 
 # --- coupling variants ------------------------------------------------------------
@@ -280,15 +297,16 @@ def test_shifted_coupling_family_still_exact(reference_word):
 
 # --- dense oracles for the structure-aware evaluation ------------------------------------
 #
-# The library evaluates each form from the structure of its factors (column gathers,
-# a local tail gate, per-cycle exponentials). These tests rebuild the dense 2^N x 2^N
-# products the forms are defined by and require agreement on random words, n <= 8.
+# The library evaluates each form from the structure of its factors (column gathers
+# within each down-count sector, a local tail gate, per-cycle exponentials). These tests
+# rebuild the dense 2^N x 2^N products the forms are defined by and require agreement
+# on random words, n <= 9.
 
 
-def random_commuting_tail_word(seed, tail):
-    """A covering word on 4..8 spins whose last two factors are disjoint or the same pair."""
+def random_commuting_tail_word(seed, tail, n=None):
+    """A covering word on n spins (4..8 if not given) whose last two factors are disjoint or the same pair."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, 9))
+    n = int(rng.integers(4, 9)) if n is None else n
     spins = [int(s) for s in rng.permutation(np.arange(1, n + 1))]
     head = [(spins[k], spins[k + 1]) for k in range(n - 1)]
     rng.shuffle(head)
@@ -309,6 +327,24 @@ def dense_chain_forms(word, theta):
         FORM_TAIL_SUM: (1j**m) * head @ expm(-1j * theta * (mats[-2] + mats[-1])),
         FORM_TAIL_PRODUCT: (1j ** (m - 1)) * head @ exp_involution(mats[-2] @ mats[-1], theta),
     }
+
+
+def off_sector_max(m):
+    """The largest magnitude among entries joining configurations of different down counts."""
+    n = int(m.shape[0]).bit_length() - 1
+    downs = np.array([bin(x).count("1") for x in range(1 << n)])
+    return float(np.abs(m[downs[:, None] != downs[None, :]]).max())
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_sectors_partition_the_configurations_by_down_count(n):
+    members, position = _sectors(n)
+    assert [idx.size for idx in members] == [math.comb(n, k) for k in range(n + 1)]
+    assert np.array_equal(np.sort(np.concatenate(members)), np.arange(1 << n))
+    for k, idx in enumerate(members):
+        assert all(bin(int(x)).count("1") == k for x in idx)
+        assert np.all(np.diff(idx) > 0)
+        assert np.array_equal(position[idx], np.arange(idx.size))
 
 
 def test_random_words_have_the_requested_tails():
@@ -332,8 +368,11 @@ def test_chain_matches_dense_oracle(seed, tail):
         FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT, FORM_HAMILTONIAN
     ]
     for label, mat in result.forms:
+        assert off_sector_max(dense[label]) == 0.0, label
         assert max_abs_diff(mat, dense[label]) <= DENSE_ORACLE_TOL, label
-    assert result.max_deviation < CHAIN_TOL
+        # the deviations are taken sector by sector, and equal the dense ones bit for bit
+        assert result.deviations()[label] == max_abs_diff(mat, result.baseline), label
+    assert result.max_deviation == max(result.deviations().values()) < CHAIN_TOL
 
 
 @pytest.mark.parametrize("tail", ["disjoint", "repeated"])
@@ -346,6 +385,7 @@ def test_coupling_variants_match_dense_oracle(k, family, tail):
     forms = _chain_forms(word, theta)
     assert forms.keys() == dense.keys()
     for label, mat in forms.items():
+        assert off_sector_max(dense[label]) == 0.0, label
         assert max_abs_diff(mat, dense[label]) <= DENSE_ORACLE_TOL, label
     m = len(word.factors)
     sign = 1.0 if family == "plus_half" else -1.0
@@ -376,7 +416,41 @@ def test_perturb_coupling_matches_dense_oracle(seed, k, tail):
     for epsilon in (0.0, 0.013, per_factor):
         config = PerturbationConfig(epsilon=epsilon, k=k)
         dense = dense_perturbed_product(word, config)
+        assert off_sector_max(dense) == 0.0
         assert max_abs_diff(perturb_coupling(word, config), dense) <= DENSE_ORACLE_TOL, epsilon
+
+
+@pytest.mark.parametrize("tail", ["disjoint", "repeated"])
+@pytest.mark.parametrize("k", [-2, 0, 1])
+@pytest.mark.parametrize("n", [4, 6, 9])
+def test_perturbation_leakage_equals_dense_leakage(n, k, tail):
+    word = random_commuting_tail_word(300 + n, tail, n)
+    rng = np.random.default_rng(n)
+    per_factor = tuple(rng.uniform(-0.1, 0.1, len(word.factors)))
+    for epsilon in (0.0, 0.013, -0.3, per_factor):
+        config = PerturbationConfig(epsilon=epsilon, k=k)
+        assert perturbation_leakage(word, config) == superposition_leakage(perturb_coupling(word, config))
+
+
+def test_one_spoiled_sector_shows_in_every_result(monkeypatch):
+    # scale the gathers of one middle sector only: every public result must notice
+    word = random_commuting_tail_word(400, "disjoint", 6)
+    config = PerturbationConfig(epsilon=0.02)
+    assert perturbation_leakage(word, config) > 0.0
+    assert coupling_variant_check(word, 0, "plus_half")
+
+    def spoil_one_sector(m, p, theta):
+        out = _times_exp_involution(m, p, theta)
+        return out * 1.001 if m.shape[0] == math.comb(6, 2) else out
+
+    monkeypatch.setattr(permlog.bch, "_times_exp_involution", spoil_one_sector)
+    with pytest.raises(NonUnitaryError):
+        perturbation_leakage(word, config)
+    assert not coupling_variant_check(word, 0, "plus_half")
+    result = bch_chain(word)
+    for label, mat in result.forms:
+        assert result.deviations()[label] == max_abs_diff(mat, result.baseline), label
+    assert result.deviations()[FORM_FACTORED] > 1e-3
 
 
 def test_exponential_of_a_non_involution_is_refused():

@@ -358,7 +358,8 @@ def test_spin_commutation_errors_equal_dense_products_off_symmetry(n, capsys, mo
 def test_bch_warns_once_per_call(k_range, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["bch", "--n", "5", "--word", "P23 P12 P34", "--k-range", k_range, "--format", "json"])
+        code = main(["bch", "--n", "5", "--word", "P23 P12 P34", "--k-range", k_range,
+                     "--epsilon", "0.01", "--epsilon-sweep", "0:0.05:3", "--format", "json"])
     capsys.readouterr()
     assert code == 0
     assert [w.category for w in caught] == [UntouchedSpinWarning]

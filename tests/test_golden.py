@@ -8,7 +8,9 @@ every rendered document unchanged.
 `tests/golden/digests.json` pins larger documents, up to the 512 x 512 H of
 `spin --n 9`, by the sha256 and byte count of their stdout and their exit code.
 It was produced by the recursive JSON emitter and per-entry pretty matrices
-that the row-at-a-time renderers replaced.
+that the row-at-a-time renderers replaced. Its last two entries, `bch --n 9`
+with a leakage sweep and with `--k-range 1 --epsilon`, were produced by the
+dense `bch` evaluation that the per-sector one replaced.
 """
 
 import hashlib
