@@ -14,10 +14,9 @@ every product of exchange exponentials is block diagonal over the N + 1
 sectors of fixed down count, of sizes C(N, k). The products are formed one
 square block per sector: multiplying by exp(-i*theta*P) for an exchange P is
 one column gather within the block, the merged tail sum is a local gate on the
-at most four spins it touches, and exp(-i*T*H) is taken cycle block by cycle
-block. A dense matrix is assembled from the blocks only where a public
-function returns one. The dense products remain in the tests as independent
-oracles.
+at most four spins it touches, and exp(-i*T*H) is taken once per distinct cycle
+length. A dense matrix is assembled from the blocks only where a public function
+returns one. The dense products remain in the tests as independent oracles.
 
 Perturbing the pi/2 couplings breaks the closed forms: the product stops being
 a phased permutation, quantified by :func:`superposition_leakage`.
@@ -31,9 +30,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .cogwheel import shift_permutation
 from .dynamics import (
     ExchangeWord,
-    cycle_block_expm,
     evolution_permutation,
     polynomial_matrix,
     uniform_polynomial_form,
@@ -82,16 +81,10 @@ class PerturbationConfig:
         return eps
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BchChainResult:
-    """Plain permutation product alongside the closed exponential forms.
+    """Each closed form's largest entrywise departure from the permutation product, in bch_chain's order."""
 
-    ``form_deviations`` holds each form's largest entrywise departure from the
-    baseline, ``max_abs_diff(form, baseline)``, in the order of ``forms``.
-    """
-
-    baseline: np.ndarray
-    forms: tuple[tuple[str, np.ndarray], ...]
     form_deviations: tuple[tuple[str, float], ...]
 
     @property
@@ -152,7 +145,7 @@ def _times_exp_involution(m: np.ndarray, p: Permutation, theta: float) -> np.nda
     exp(-i*theta*P) = cos(theta)*I - i*sin(theta)*P, and (m @ P)[:, x] = m[:, P(x)],
     so the product costs O(dim^2) instead of a dense O(dim^3) matrix product.
     """
-    if not (p * p).is_identity():
+    if not np.array_equal(p.map[p.map], np.arange(p.size)):
         raise InvolutionViolation("the permutation does not square to the identity")
     out = np.take(m, p.map, axis=1)
     out *= -1j * np.sin(theta)
@@ -218,10 +211,16 @@ def _sector_chain_forms(
     }
 
 
-def _chain_forms(word: ExchangeWord, theta: float) -> dict[str, np.ndarray]:
-    """The three factored forms at coupling theta as dense matrices (tail already checked)."""
-    blocks = _sector_chain_forms(word, _local_factors(word), theta)
-    return {label: _assemble(form, word.n_spins) for label, form in blocks.items()}
+def _form_deviations(word: ExchangeWord, theta: float, signs: dict[str, float]) -> dict[str, float]:
+    """Each factored form's largest departure from signs[label] times the product, sector by sector."""
+    local = _local_factors(word)
+    # each sector's block of the evolution permutation, as the product of its local
+    # factors; evolution_permutation would warn about untouched spins again
+    baselines = [reduce(Permutation.__mul__, factors).matrix() for factors in local]
+    return {
+        label: max(max_abs_diff(block, signs[label] * base) for block, base in zip(blocks, baselines))
+        for label, blocks in _sector_chain_forms(word, local, theta).items()
+    }
 
 
 def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> BchChainResult:
@@ -234,32 +233,22 @@ def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> BchChainResult:
       * exp_hamiltonian:  exp(-i*T*H) with H the uniform polynomial Hamiltonian
     All four equal the permutation product exactly; max_deviation reports the
     worst entrywise departure actually observed. The first three forms are
-    compared with the baseline sector by sector; off the sectors both are zero.
+    compared with the product sector by sector, exp_hamiltonian once per cycle
+    length L: on every such cycle H is sum_k c_k S^k for the L-point shift S.
     """
     _require_commuting_tail(word)
     perm = evolution_permutation(word)
-    baseline = perm.matrix()
-    blocks = _sector_chain_forms(word, _local_factors(word), np.pi / 2)
-    baseline_blocks = _sector_blocks(baseline, word.n_spins)
-    deviations = {
-        label: max(max_abs_diff(b, base) for b, base in zip(form, baseline_blocks))
-        for label, form in blocks.items()
-    }
-    forms = {label: _assemble(form, word.n_spins) for label, form in blocks.items()}
+    signs = dict.fromkeys((FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT), 1.0)
+    deviations = _form_deviations(word, np.pi / 2, signs)
     coeffs = uniform_polynomial_form(perm, timestep)
-    forms[FORM_HAMILTONIAN] = cycle_block_expm(perm, polynomial_matrix(perm, coeffs), -1j * timestep)
-    deviations[FORM_HAMILTONIAN] = max_abs_diff(forms[FORM_HAMILTONIAN], baseline)
-    labels = (FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT, FORM_HAMILTONIAN)
-    return BchChainResult(
-        baseline=baseline,
-        forms=tuple((label, forms[label]) for label in labels),
-        form_deviations=tuple((label, deviations[label]) for label in labels),
+    shifts = [shift_permutation(length) for length in sorted(set(perm.cycle_lengths()))]
+    deviations[FORM_HAMILTONIAN] = max(
+        max_abs_diff(expm(-1j * timestep * polynomial_matrix(s, coeffs)), s.matrix()) for s in shifts
     )
+    return BchChainResult(form_deviations=tuple(deviations.items()))
 
 
-def coupling_variant_check(
-    word: ExchangeWord, k: int, family: str, tol: float = 1e-10
-) -> bool:
+def coupling_variant_check(word: ExchangeWord, k: int, family: str, tol: float = 1e-10) -> bool:
     """Check the factored forms at coupling (2k + 1/2)*pi or (2k + 3/2)*pi.
 
     The first family reproduces the permutation product as-is. The second
@@ -272,25 +261,9 @@ def coupling_variant_check(
         raise ValueError(f"family must be one of {COUPLING_FAMILIES}, got {family!r}")
     _require_commuting_tail(word)
     theta = (2 * k + (0.5 if family == "plus_half" else 1.5)) * np.pi
-    m = len(word.factors)
-    if family == "plus_half":
-        signs = {FORM_FACTORED: 1.0, FORM_TAIL_SUM: 1.0, FORM_TAIL_PRODUCT: 1.0}
-    else:
-        signs = {
-            FORM_FACTORED: (-1.0) ** m,
-            FORM_TAIL_SUM: (-1.0) ** m,
-            FORM_TAIL_PRODUCT: (-1.0) ** (m - 1),
-        }
-    local = _local_factors(word)
-    # each sector's block of the evolution permutation, as the product of its local
-    # factors; evolution_permutation would warn about untouched spins again
-    baselines = [reduce(Permutation.__mul__, factors).matrix() for factors in local]
-    forms = _sector_chain_forms(word, local, theta)
-    return all(
-        max_abs_diff(block, signs[label] * base) <= tol
-        for label, blocks in forms.items()
-        for block, base in zip(blocks, baselines)
-    )
+    m, sign = len(word.factors), (1.0 if family == "plus_half" else -1.0)
+    signs = {FORM_FACTORED: sign**m, FORM_TAIL_SUM: sign**m, FORM_TAIL_PRODUCT: sign ** (m - 1)}
+    return all(dev <= tol for dev in _form_deviations(word, theta, signs).values())
 
 
 def bch_series_truncated(x, y, order: int) -> np.ndarray:

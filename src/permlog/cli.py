@@ -60,7 +60,7 @@ from .spins import SPIN_CAP, SpinConfiguration, _down_counts, four_spin_state_la
 
 SCHEMA_VERSION = 1
 TOL_ENV_VAR = "PERMLOG_TOL"
-MAX_SWEEP_STEPS = 1000  # each step builds and checks one dense 2^N x 2^N unitary
+MAX_SWEEP_STEPS = 1000  # each step builds and checks the sector blocks of one 2^N x 2^N unitary
 COGWHEEL_CAP = 1 << SPIN_CAP  # cogwheel builds dense n x n matrices; same bound as the spin commands
 
 
@@ -391,6 +391,8 @@ def _parse_sweep(spec_text: str) -> np.ndarray:
     start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     if not 1 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"--epsilon-sweep steps must be in 1..{MAX_SWEEP_STEPS}, got {steps}")
+    if not np.isfinite(stop - start):  # an infinite endpoint, or a span that overflows
+        raise ValueError("offsets must be finite")
     return np.linspace(start, stop, steps)
 
 
@@ -400,6 +402,8 @@ def _cmd_bch(args, tol: float) -> dict:
         raise ValueError("--k-range must be non-negative")
     word = parse_word(args.word, n)
     eps_values = None if args.epsilon_sweep is None else _parse_sweep(args.epsilon_sweep)
+    if args.epsilon is not None and not np.isfinite(args.epsilon):
+        raise ValueError("offsets must be finite")
     if args.format == "csv" and eps_values is None:
         raise ValueError("CSV export is only available for flat data (spectra and sweeps)")
 
@@ -499,6 +503,8 @@ def _resolve_tol(args) -> float:
         tol = DEFAULT_EQ_TOL
     if not tol > 0:
         raise ValueError("tolerance must be strictly positive")
+    if not np.isfinite(tol):
+        raise ValueError("tolerance must be finite")
     return tol
 
 
@@ -513,6 +519,8 @@ def _validate(args) -> None:
         raise ValueError(f"--n must be in 2..{SPIN_CAP}")
     if not args.t > 0:
         raise ValueError("--t must be positive")
+    if not np.isfinite(args.t):
+        raise ValueError("--t must be finite")
 
 
 def main(argv=None) -> int:

@@ -23,9 +23,17 @@ from permlog.bch import (
     perturbation_leakage,
     superposition_leakage,
 )
-from permlog.bch import _chain_forms, _require_commuting_tail, _sectors, _times_exp_involution
+from permlog.bch import (
+    _assemble,
+    _local_factors,
+    _require_commuting_tail,
+    _sector_chain_forms,
+    _sectors,
+    _times_exp_involution,
+)
 from permlog.dynamics import (
     ExchangeWord,
+    cycle_block_expm,
     evolution_permutation,
     parse_word,
     polynomial_matrix,
@@ -57,7 +65,7 @@ def reference_word():
 def test_chain_all_forms_match_reference_word(reference_word):
     result = bch_chain(reference_word, 1.0)
     assert result.max_deviation < CHAIN_TOL
-    labels = [label for label, _ in result.forms]
+    labels = [label for label, _ in result.form_deviations]
     assert labels == [FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT, FORM_HAMILTONIAN]
     assert len(set(labels)) == len(labels)
     for label, dev in result.deviations().items():
@@ -65,10 +73,9 @@ def test_chain_all_forms_match_reference_word(reference_word):
 
 
 def test_chain_forms_agree_pairwise(reference_word):
+    # each form lies within max_deviation of the product, so any two within twice that
     result = bch_chain(reference_word, 1.0)
-    mats = [result.baseline] + [m for _, m in result.forms]
-    for a, b in itertools.combinations(mats, 2):
-        assert max_abs_diff(a, b) < CHAIN_TOL
+    assert 2 * result.max_deviation < CHAIN_TOL
 
 
 def test_single_exchange_exponentiates_in_closed_form():
@@ -78,8 +85,7 @@ def test_single_exchange_exponentiates_in_closed_form():
 
 
 def test_merged_sum_equals_merged_product(reference_word):
-    result = bch_chain(reference_word, 1.0)
-    forms = dict(result.forms)
+    forms = assembled_chain_forms(reference_word, np.pi / 2)
     assert max_abs_diff(forms[FORM_TAIL_SUM], forms[FORM_TAIL_PRODUCT]) < 1e-12
 
 
@@ -315,6 +321,18 @@ def random_commuting_tail_word(seed, tail, n=None):
     return ExchangeWord(n_spins=n, factors=tuple(head + last_two))
 
 
+def assembled_chain_forms(word, theta):
+    """The library's three factored forms at coupling theta, assembled dense from their sector blocks."""
+    blocks = _sector_chain_forms(word, _local_factors(word), theta)
+    return {label: _assemble(form, word.n_spins) for label, form in blocks.items()}
+
+
+def dense_hamiltonian_form(perm, timestep):
+    """exp(-i*T*H) of the uniform polynomial Hamiltonian, taken cycle block by cycle block."""
+    h = polynomial_matrix(perm, uniform_polynomial_form(perm, timestep))
+    return cycle_block_expm(perm, h, -1j * timestep)
+
+
 def dense_chain_forms(word, theta):
     """The three factored forms as dense products of dense exponentials."""
     mats = [exchange_permutation(word.n_spins, i, j).matrix() for i, j in word.factors]
@@ -360,19 +378,47 @@ def test_chain_matches_dense_oracle(seed, tail):
     word = random_commuting_tail_word(seed, tail)
     timestep = (1.0, 0.5, 2.5)[seed % 3]
     perm = evolution_permutation(word)
+    baseline = perm.matrix()
     dense = dense_chain_forms(word, np.pi / 2)
     h = polynomial_matrix(perm, uniform_polynomial_form(perm, timestep))
     dense[FORM_HAMILTONIAN] = expm(-1j * timestep * h)
+    forms = assembled_chain_forms(word, np.pi / 2)
+    forms[FORM_HAMILTONIAN] = dense_hamiltonian_form(perm, timestep)
     result = bch_chain(word, timestep)
-    assert [label for label, _ in result.forms] == [
+    assert [label for label, _ in result.form_deviations] == [
         FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT, FORM_HAMILTONIAN
     ]
-    for label, mat in result.forms:
+    for label, mat in forms.items():
         assert off_sector_max(dense[label]) == 0.0, label
         assert max_abs_diff(mat, dense[label]) <= DENSE_ORACLE_TOL, label
-        # the deviations are taken sector by sector, and equal the dense ones bit for bit
-        assert result.deviations()[label] == max_abs_diff(mat, result.baseline), label
+        # the deviations are taken sector by sector or cycle length by cycle length,
+        # and equal the dense ones bit for bit
+        assert result.deviations()[label] == max_abs_diff(mat, baseline), label
     assert result.max_deviation == max(result.deviations().values()) < CHAIN_TOL
+
+
+HAMILTONIAN_WORDS = [
+    parse_word("P12 P12", 2),  # the identity: fixed points only
+    parse_word("P12 P23 P12 P12", 3),
+    *(random_commuting_tail_word(500 + n, tail, n) for n in range(4, 10) for tail in ("disjoint", "repeated")),
+]
+
+
+def test_hamiltonian_words_cover_fixed_points_and_mixed_cycle_lengths():
+    lengths = [set(evolution_permutation(word).cycle_lengths()) for word in HAMILTONIAN_WORDS]
+    assert lengths[0] == {1}
+    assert all(1 in ls for ls in lengths)  # all-up and all-down are always fixed
+    assert max(len(ls) for ls in lengths) >= 4
+    assert set().union(*lengths) >= set(range(1, 10))
+
+
+@pytest.mark.parametrize("timestep", [1.0, 0.5, 2.5, 0.37])
+@pytest.mark.parametrize("word", HAMILTONIAN_WORDS, ids=lambda w: f"n{w.n_spins}-{w}")
+def test_hamiltonian_deviation_per_cycle_length_equals_dense(word, timestep):
+    # H restricted to any cycle of length L is the same polynomial in the L-point shift
+    perm = evolution_permutation(word)
+    dense = max_abs_diff(dense_hamiltonian_form(perm, timestep), perm.matrix())
+    assert bch_chain(word, timestep).deviations()[FORM_HAMILTONIAN] == dense
 
 
 @pytest.mark.parametrize("tail", ["disjoint", "repeated"])
@@ -382,7 +428,7 @@ def test_coupling_variants_match_dense_oracle(k, family, tail):
     word = random_commuting_tail_word(100 + k, tail)
     theta = (2 * k + (0.5 if family == "plus_half" else 1.5)) * np.pi
     dense = dense_chain_forms(word, theta)
-    forms = _chain_forms(word, theta)
+    forms = assembled_chain_forms(word, theta)
     assert forms.keys() == dense.keys()
     for label, mat in forms.items():
         assert off_sector_max(dense[label]) == 0.0, label
@@ -448,8 +494,9 @@ def test_one_spoiled_sector_shows_in_every_result(monkeypatch):
         perturbation_leakage(word, config)
     assert not coupling_variant_check(word, 0, "plus_half")
     result = bch_chain(word)
-    for label, mat in result.forms:
-        assert result.deviations()[label] == max_abs_diff(mat, result.baseline), label
+    baseline = evolution_permutation(word).matrix()
+    for label, mat in assembled_chain_forms(word, np.pi / 2).items():
+        assert result.deviations()[label] == max_abs_diff(mat, baseline), label
     assert result.deviations()[FORM_FACTORED] > 1e-3
 
 

@@ -445,6 +445,31 @@ def test_bch_sweep_step_cap(capsys):
     assert len(out.strip().splitlines()) == MAX_SWEEP_STEPS + 1
 
 
+@pytest.mark.parametrize(
+    "offsets",
+    [
+        ["--epsilon", "inf"],
+        ["--epsilon", "nan"],
+        ["--epsilon-sweep", "0:inf:3"],
+        ["--epsilon-sweep=-inf:0:3"],
+        ["--epsilon-sweep", "0:nan:3"],
+        ["--epsilon-sweep=-1e308:1e308:3"],  # finite endpoints, infinite span
+    ],
+)
+def test_bch_non_finite_offsets_are_usage_errors(offsets, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("evaluated the chain before rejecting the offsets")
+
+    monkeypatch.setattr(permlog.cli, "bch_chain", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # linspace warns on an infinite endpoint
+        code = main(["bch", "--n", "4", "--word", "P23 P12 P34", "--format", "json", *offsets])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: offsets must be finite\n"
+
+
 # --- tolerances, exit codes, output -------------------------------------------------
 
 
@@ -467,6 +492,37 @@ def test_flag_beats_env_var(capsys, monkeypatch):
     monkeypatch.setenv("PERMLOG_TOL", "1e-30")
     code, out = run_cli(REFERENCE_ARGS + ["--tol", "1e-10"], capsys)
     assert code == 0
+
+
+COMMAND_ARGS = {
+    "cogwheel": ["cogwheel", "--n", "4"],
+    "spin": ["spin", "--n", "4", "--word", "P23 P12 P34"],
+    "bch": ["bch", "--n", "4", "--word", "P23 P12 P34"],
+}
+NON_FINITE_INPUTS = {  # environment, arguments, the one stderr line
+    "tol": ({}, ["--tol", "inf"], "error: tolerance must be finite"),
+    "env": ({"PERMLOG_TOL": "inf"}, [], "error: tolerance must be finite"),
+    "t": ({}, ["--t", "inf"], "error: --t must be finite"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_non_finite_tolerance_or_timestep_is_usage_error(command, case, fmt, capsys, monkeypatch):
+    env, extra, message = NON_FINITE_INPUTS[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+
+    def refuse(args, tol):
+        raise AssertionError("ran the command before rejecting its input")
+
+    monkeypatch.setitem(permlog.cli._HANDLERS, command, refuse)
+    code = main(COMMAND_ARGS[command] + extra + ["--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message + "\n"
 
 
 def test_bad_word_is_usage_error(capsys):
