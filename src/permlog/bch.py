@@ -33,6 +33,7 @@ import numpy as np
 from .cogwheel import shift_permutation
 from .dynamics import (
     ExchangeWord,
+    _cycles_by_length,
     evolution_permutation,
     polynomial_matrix,
     uniform_polynomial_form,
@@ -238,10 +239,10 @@ def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> BchChainResult:
     """
     _require_commuting_tail(word)
     perm = evolution_permutation(word)
+    coeffs = uniform_polynomial_form(perm, timestep)
     signs = dict.fromkeys((FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT), 1.0)
     deviations = _form_deviations(word, np.pi / 2, signs)
-    coeffs = uniform_polynomial_form(perm, timestep)
-    shifts = [shift_permutation(length) for length in sorted(set(perm.cycle_lengths()))]
+    shifts = [shift_permutation(length) for length in _cycles_by_length(perm)]
     deviations[FORM_HAMILTONIAN] = max(
         max_abs_diff(expm(-1j * timestep * polynomial_matrix(s, coeffs)), s.matrix()) for s in shifts
     )

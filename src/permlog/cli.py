@@ -388,7 +388,14 @@ def _parse_sweep(spec_text: str) -> np.ndarray:
     parts = spec_text.split(":")
     if len(parts) != 3:
         raise ValueError("--epsilon-sweep expects start:stop:steps")
-    start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    values = []
+    for name, text, kind in zip(("start", "stop", "steps"), parts, (float, float, int)):
+        try:
+            values.append(kind(text))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"--epsilon-sweep {name} must be {noun}, got {text!r}") from None
+    start, stop, steps = values
     if not 1 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"--epsilon-sweep steps must be in 1..{MAX_SWEEP_STEPS}, got {steps}")
     if not np.isfinite(stop - start):  # an infinite endpoint, or a span that overflows

@@ -51,6 +51,8 @@ def _check_size(n: int) -> None:
 def _check_timestep(t: float) -> None:
     if not t > 0:
         raise ValueError("timestep must be positive")
+    if t == np.inf:
+        raise ValueError("timestep must be finite")
 
 
 def shift_permutation(n: int) -> Permutation:

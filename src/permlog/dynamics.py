@@ -4,8 +4,8 @@ block Hamiltonians, the uniform polynomial form, and exact spectra.
 An exchange word is an ordered product of two-spin exchanges; the rightmost
 factor acts first on states, so "P23 P12 P34" exchanges spins 3,4 first.
 One application of the word permutes the 2^N configurations; each cycle of
-that permutation is a cogwheel, and the Hamiltonian is assembled cycle by
-cycle from the closed-form cogwheel logarithms.
+that permutation is a cogwheel, and the Hamiltonian is assembled one block per
+cycle length, since equal-length cycles share one closed-form cogwheel logarithm.
 """
 
 from __future__ import annotations
@@ -135,12 +135,23 @@ def orbit_decomposition(perm: Permutation) -> OrbitDecomposition:
     return OrbitDecomposition(cycles=perm.cycles())
 
 
+def _cycles_by_length(perm: Permutation) -> dict[int, np.ndarray]:
+    """Each cycle length L, ascending, with its cycles as the rows of a (count, L) array, in cycles() order.
+
+    ``h[rows[:, :, None], rows[:, None, :]]`` is then the (count, L, L) stack of their blocks of h.
+    """
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for cycle in perm.cycles():
+        groups.setdefault(len(cycle), []).append(cycle)
+    return {length: np.array(groups[length], dtype=np.intp) for length in sorted(groups)}
+
+
 @dataclass(frozen=True, eq=False)
 class BlockHamiltonianReport:
-    """The assembled Hamiltonian plus the per-cycle cogwheel blocks it came from."""
+    """The assembled Hamiltonian plus the cogwheel block of each cycle length it came from."""
 
     matrix: np.ndarray
-    per_cycle: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    per_length: dict[int, np.ndarray]
     timestep: float
 
 
@@ -153,14 +164,12 @@ def hamiltonian_from_permutation(perm: Permutation, timestep: float = 1.0) -> Bl
     smallest member, which fixes the (gauge) choice of cogwheel origin.
     """
     _check_timestep(timestep)
-    dim = perm.size
-    h = np.zeros((dim, dim), dtype=complex)
-    per_cycle = []
-    for cycle in perm.cycles():
-        block = cogwheel_hamiltonian(len(cycle), timestep)
-        h[np.ix_(cycle, cycle)] = block
-        per_cycle.append((cycle, block))
-    return BlockHamiltonianReport(matrix=h, per_cycle=tuple(per_cycle), timestep=timestep)
+    h = np.zeros((perm.size, perm.size), dtype=complex)
+    per_length = {}
+    for length, rows in _cycles_by_length(perm).items():
+        per_length[length] = cogwheel_hamiltonian(length, timestep)
+        h[rows[:, :, None], rows[:, None, :]] = per_length[length]
+    return BlockHamiltonianReport(matrix=h, per_length=per_length, timestep=timestep)
 
 
 def polynomial_matrix(perm: Permutation, coefficients) -> np.ndarray:
@@ -184,19 +193,20 @@ def cycle_block_expm(perm: Permutation, h, scale: complex) -> np.ndarray:
     """expm(scale * h) for an h that is block diagonal on the cycles of perm.
 
     Every Hamiltonian this module builds lives inside the cycle blocks, so the
-    exponential is assembled block by block. Raises ValueError if any entry of
-    h outside the blocks is nonzero; there is no dense fallback.
+    exponential is assembled block by block, one gather and scatter per length.
+    Raises ValueError if any entry of h outside the blocks is nonzero; there is
+    no dense fallback.
     """
     h = as_matrix(h)
     if h.shape[0] != perm.size:
         raise ValueError(f"h is {h.shape[0]}x{h.shape[0]}, the permutation acts on {perm.size} points")
-    cycles = perm.cycles()
-    blocks = [h[np.ix_(cycle, cycle)] for cycle in cycles]
-    if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(h):
+    tables = _cycles_by_length(perm).values()
+    stacks = [h[rows[:, :, None], rows[:, None, :]] for rows in tables]
+    if sum(np.count_nonzero(stack) for stack in stacks) != np.count_nonzero(h):
         raise ValueError("h has nonzero entries outside the cycle blocks of the permutation")
     out = np.zeros_like(h)
-    for cycle, block in zip(cycles, blocks):
-        out[np.ix_(cycle, cycle)] = expm(scale * block)
+    for rows, stack in zip(tables, stacks):
+        out[rows[:, :, None], rows[:, None, :]] = [expm(scale * block) for block in stack]
     return out
 
 
@@ -231,19 +241,17 @@ def spectrum(perm: Permutation, timestep: float = 1.0) -> SpectrumReport:
     comparison is involved; no numerical diagonalization is performed.
     """
     _check_timestep(timestep)
-    groups: dict[Fraction, tuple[int, list[int]]] = {}
-    for cycle_index, cycle in enumerate(perm.cycles()):
-        length = len(cycle)
-        for n in range(length):
-            key = Fraction(n, length)
-            mult, sources = groups.setdefault(key, (0, []))
-            groups[key] = (mult + 1, sources)
-            if cycle_index not in sources:
-                sources.append(cycle_index)
-    fractions = sorted(groups)
+    groups = _cycles_by_length(perm)
+    starts = np.sort(np.concatenate([rows[:, 0] for rows in groups.values()]))
+    sources: dict[Fraction, list[int]] = {}  # each level's contributing cycles, by index in cycles()
+    for length, rows in groups.items():
+        indices = np.searchsorted(starts, rows[:, 0]).tolist()  # cycles() is sorted by first member
+        for n in range(length):  # a cycle's levels n/L are distinct, so it contributes once to each
+            sources.setdefault(Fraction(n, length), []).extend(indices)
+    fractions = sorted(sources)
     energies = tuple(2.0 * np.pi * f.numerator / (f.denominator * timestep) for f in fractions)
-    mults = tuple(groups[f][0] for f in fractions)
-    provenance = tuple(tuple(groups[f][1]) for f in fractions)
+    provenance = tuple(tuple(sorted(sources[f])) for f in fractions)
+    mults = tuple(len(cycles) for cycles in provenance)
     return SpectrumReport(
         distinct_energies=energies, multiplicities=mults, block_provenance=provenance
     )

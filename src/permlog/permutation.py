@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,10 @@ class Permutation:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each starting at its smallest member, sorted by that member."""
+        return self._cycles
+
+    @cached_property
+    def _cycles(self) -> tuple[tuple[int, ...], ...]:  # computed once: map is read-only
         image = self.map.tolist()  # Python ints: list indexing beats numpy scalar indexing in a loop
         seen: set[int] = set()
         out: list[tuple[int, ...]] = []

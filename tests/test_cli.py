@@ -339,7 +339,7 @@ def test_spin_commutation_errors_equal_dense_products_off_symmetry(n, capsys, mo
     h = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
     monkeypatch.setattr(
         permlog.cli, "hamiltonian_from_permutation",
-        lambda perm, t: BlockHamiltonianReport(matrix=h, per_cycle=(), timestep=t),
+        lambda perm, t: BlockHamiltonianReport(matrix=h, per_length={}, timestep=t),
     )
     monkeypatch.setattr(permlog.cli, "cycle_block_expm", lambda perm, m, scale: perm.matrix())
     word = " ".join(f"P{i}{i + 1}" for i in range(1, n))
@@ -443,6 +443,26 @@ def test_bch_sweep_step_cap(capsys):
     code, out = run_cli(args + ["--epsilon-sweep", f"0:0.1:{MAX_SWEEP_STEPS}"], capsys)
     assert code == 0
     assert len(out.strip().splitlines()) == MAX_SWEEP_STEPS + 1
+
+
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        ("0:1:2.5", "--epsilon-sweep steps must be an integer, got '2.5'"),
+        ("a:1:2", "--epsilon-sweep start must be a number, got 'a'"),
+        ("0:b:2", "--epsilon-sweep stop must be a number, got 'b'"),
+    ],
+)
+def test_bch_malformed_sweep_names_the_field(sweep, message, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("evaluated the chain before rejecting the sweep")
+
+    monkeypatch.setattr(permlog.cli, "bch_chain", refuse)
+    code = main(["bch", "--n", "4", "--word", "P23 P12 P34", "--format", "json", "--epsilon-sweep", sweep])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

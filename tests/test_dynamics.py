@@ -1,10 +1,15 @@
 import itertools
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permlog.cogwheel import cogwheel_hamiltonian, polynomial_coefficients
+from permlog.bch import bch_chain
+from permlog.cogwheel import cogwheel_energies, cogwheel_hamiltonian, polynomial_coefficients
 from permlog.dynamics import (
     ExchangeWord,
     UntouchedSpinWarning,
@@ -15,6 +20,7 @@ from permlog.dynamics import (
     orbit_decomposition,
     parse_word,
     polynomial_matrix,
+    SpectrumReport,
     spectrum,
     uniform_polynomial_form,
 )
@@ -164,13 +170,14 @@ def test_square_of_reference_word_is_two_disjoint_exchanges(reference_perm):
 
 def test_blocks_match_cogwheel_hamiltonians(reference_perm):
     report = hamiltonian_from_permutation(reference_perm, 1.0)
-    by_length = {len(cycle): block for cycle, block in report.per_cycle}
+    by_length = report.per_length
+    assert sorted(by_length) == [1, 2, 4]
     assert max_abs_diff(by_length[4], cogwheel_hamiltonian(4, 1.0)) == 0.0
     assert max_abs_diff(by_length[2], (np.pi / 2) * np.array([[1, -1], [-1, 1]])) <= 1e-12
     assert max_abs_diff(by_length[1], [[0.0]]) == 0.0
     # blocks sit exactly on their cycles in the big matrix
-    for cycle, block in report.per_cycle:
-        assert max_abs_diff(report.matrix[np.ix_(cycle, cycle)], block) == 0.0
+    for cycle in reference_perm.cycles():
+        assert max_abs_diff(report.matrix[np.ix_(cycle, cycle)], by_length[len(cycle)]) == 0.0
 
 
 def test_identity_permutation_has_zero_hamiltonian():
@@ -392,3 +399,91 @@ def test_all_three_factor_words_round_trip(n_spins):
         assert max_abs_diff(polynomial_matrix(perm, coeffs), h) <= ROUND_TRIP_TOL, str(w)
         checked += 1
     assert checked > 0
+
+
+# --- one block per cycle length against the per-cycle reference ---------------------
+# The loops below are the per-cycle assembly that one scatter per cycle length
+# replaced; the grouped code must reproduce them bit for bit.
+
+
+def per_cycle_hamiltonian(perm, t):
+    h = np.zeros((perm.size, perm.size), dtype=complex)
+    for cycle in perm.cycles():
+        h[np.ix_(cycle, cycle)] = cogwheel_hamiltonian(len(cycle), t)
+    return h
+
+
+def per_cycle_block_expm(perm, h, scale):
+    out = np.zeros_like(h)
+    for cycle in perm.cycles():
+        out[np.ix_(cycle, cycle)] = expm(scale * h[np.ix_(cycle, cycle)])
+    return out
+
+
+def per_cycle_spectrum(perm, t):
+    groups = {}
+    for cycle_index, cycle in enumerate(perm.cycles()):
+        for n in range(len(cycle)):
+            groups.setdefault(Fraction(n, len(cycle)), []).append(cycle_index)
+    fractions = sorted(groups)
+    return SpectrumReport(
+        distinct_energies=tuple(2.0 * np.pi * f.numerator / (f.denominator * t) for f in fractions),
+        multiplicities=tuple(len(groups[f]) for f in fractions),
+        block_provenance=tuple(tuple(groups[f]) for f in fractions),
+    )
+
+
+def assert_matches_per_cycle_reference(perm, t):
+    report = hamiltonian_from_permutation(perm, t)
+    h = per_cycle_hamiltonian(perm, t)
+    assert np.array_equal(report.matrix, h)
+    assert np.array_equal(cycle_block_expm(perm, h, -1j * t), per_cycle_block_expm(perm, h, -1j * t))
+    assert spectrum(perm, t) == per_cycle_spectrum(perm, t)
+    assert sorted(report.per_length) == sorted(set(perm.cycle_lengths()))
+    for cycle in perm.cycles():
+        block = report.per_length[len(cycle)]
+        assert np.array_equal(block, cogwheel_hamiltonian(len(cycle), t))
+        assert np.array_equal(report.matrix[np.ix_(cycle, cycle)], block)
+
+
+@st.composite
+def random_words(draw):
+    n = draw(st.integers(2, 9))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda pair: pair[0] != pair[1])
+    return ExchangeWord(n_spins=n, factors=tuple(draw(st.lists(pairs, min_size=1, max_size=6))))
+
+
+@given(random_words(), st.sampled_from([1.0, 0.37, 2.5]))
+@settings(max_examples=40, deadline=None)
+def test_grouped_blocks_equal_per_cycle_reference_on_random_words(w, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UntouchedSpinWarning)  # a random word may skip a spin
+        perm = evolution_permutation(w)
+    assert_matches_per_cycle_reference(perm, t)
+
+
+@pytest.mark.parametrize("t", [1.0, 0.37, 2.5])
+@pytest.mark.parametrize(
+    "perm",
+    [Permutation.identity(8), evolution_permutation(word("P12", 2)), Permutation((1, 0, 3, 4, 5, 2))],
+    ids=["identity", "P12", "mixed-lengths"],
+)
+def test_grouped_blocks_equal_per_cycle_reference(perm, t):
+    assert_matches_per_cycle_reference(perm, t)
+
+
+@pytest.mark.parametrize("bad", [np.inf, 0.0, -1.0, np.nan])
+def test_every_timestep_entry_point_rejects_non_finite_and_non_positive(reference_perm, bad):
+    message = "timestep must be finite" if bad == np.inf else "timestep must be positive"
+    calls = [
+        lambda: cogwheel_energies(4, bad),
+        lambda: cogwheel_hamiltonian(4, bad),
+        lambda: polynomial_coefficients(4, bad),
+        lambda: hamiltonian_from_permutation(reference_perm, bad),
+        lambda: uniform_polynomial_form(reference_perm, bad),
+        lambda: spectrum(reference_perm, bad),
+        lambda: bch_chain(word("P23 P12 P34"), bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()

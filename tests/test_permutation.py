@@ -153,3 +153,10 @@ def test_operations_match_tuple_reference(pair, k):
     assert pp.cycles() == ref_cycles(p)
     assert pp.is_identity() == (p == tuple(range(len(p))))
     assert np.array_equal(pp.matrix() @ qq.matrix(), (pp * qq).matrix())
+
+
+def test_cycles_are_computed_once_per_instance():
+    p = Permutation((1, 0, 3, 4, 5, 2))
+    assert p.cycles() is p.cycles()
+    assert p.cycles() == ((0, 1), (2, 3, 4, 5))
+    assert all(type(x) is int for cycle in p.cycles() for x in cycle)
