@@ -39,7 +39,8 @@ from .cogwheel import (
 )
 from .dynamics import (
     WordParseError,
-    cycle_block_expm,
+    _cycle_blocks,
+    _cycles_by_length,
     evolution_permutation,
     hamiltonian_from_permutation,
     orbit_decomposition,
@@ -60,7 +61,7 @@ from .spins import SPIN_CAP, SpinConfiguration, _down_counts, four_spin_state_la
 
 SCHEMA_VERSION = 1
 TOL_ENV_VAR = "PERMLOG_TOL"
-MAX_SWEEP_STEPS = 1000  # each step builds and checks the sector blocks of one 2^N x 2^N unitary
+MAX_SWEEP_STEPS = 1000  # each sweep step or coupling check builds and checks the sector blocks of one unitary
 COGWHEEL_CAP = 1 << SPIN_CAP  # cogwheel builds dense n x n matrices; same bound as the spin commands
 
 
@@ -276,6 +277,11 @@ def _check(name: str, error: float, tolerance: float) -> dict:
     }
 
 
+def _max_abs(diffs) -> float:
+    """The largest entry magnitude over a sequence of arrays."""
+    return max(float(np.abs(d).max()) for d in diffs)
+
+
 def _check_bool(name: str, passed: bool) -> dict:
     return {"name": name, "passed": bool(passed), "max_error": None, "tolerance": None}
 
@@ -347,18 +353,25 @@ def _cmd_spin(args, tol: float) -> dict:
     spec = spectrum(perm, t)
     h = report.matrix
 
-    # For a diagonal D, H @ D is h * d and D @ H is d[:, None] * h. For the spinflip F, H @ F gathers
-    # columns by F.map and F @ H rows by F's inverse, which is F.map because F is an involution.
+    # Each check reads H's cycle blocks only: off them every dense difference is exactly 0 - 0, as
+    # _cycle_blocks refuses any other nonzero entry and the spinflip, which commutes with every exchange,
+    # maps cycles onto cycles. On a length-L cycle both P and the polynomial in P act as the L-shift S.
+    tables = _cycles_by_length(perm)
+    blocks = list(zip(tables.values(), _cycle_blocks(h, tables), map(shift_permutation, tables)))
     down = _down_counts(n)
-    up = n - down
     flip = spinflip(n).map
     period = len(coeffs)
+
+    def commutes(d):  # H D - D H for the diagonal D = diag(d)
+        return _max_abs(b * d[rows][:, None] - d[rows][..., None] * b for rows, b, _ in blocks)
     verifications = [
-        _check("round_trip", max_abs_diff(cycle_block_expm(perm, h, -1j * t), perm.matrix()), tol),
-        _check("commutes_number_up", max_abs_diff(h * up, up[:, None] * h), DEFAULT_UNITARITY_TOL),
-        _check("commutes_number_down", max_abs_diff(h * down, down[:, None] * h), DEFAULT_UNITARITY_TOL),
-        _check("commutes_spinflip", max_abs_diff(h[:, flip], h[flip, :]), DEFAULT_UNITARITY_TOL),
-        _check("polynomial_matches_blocks", max_abs_diff(polynomial_matrix(perm, coeffs), h), tol),
+        _check("round_trip", _max_abs(expm(-1j * t * x) - s.matrix() for _, b, s in blocks for x in b), tol),
+        _check("commutes_number_up", commutes(n - down), DEFAULT_UNITARITY_TOL),
+        _check("commutes_number_down", commutes(down), DEFAULT_UNITARITY_TOL),
+        _check("commutes_spinflip", _max_abs(b - h[flip[rows][:, :, None], flip[rows][:, None, :]]
+                                             for rows, b, _ in blocks), DEFAULT_UNITARITY_TOL),
+        _check("polynomial_matches_blocks",
+               _max_abs(polynomial_matrix(s, coeffs) - b for _, b, s in blocks), tol),
         _check_bool("power_lcm_identity", (perm**period).is_identity()),
         _check_bool("multiplicities_total", spec.total_multiplicity == perm.size),
     ]
@@ -407,6 +420,8 @@ def _cmd_bch(args, tol: float) -> dict:
     n, t = args.n, args.t
     if args.k_range < 0:
         raise ValueError("--k-range must be non-negative")
+    if 2 * (2 * args.k_range + 1) > MAX_SWEEP_STEPS:  # two coupling checks for each k in -K..K
+        raise ValueError(f"--k-range must be at most {(MAX_SWEEP_STEPS - 2) // 4}, got {args.k_range}")
     word = parse_word(args.word, n)
     eps_values = None if args.epsilon_sweep is None else _parse_sweep(args.epsilon_sweep)
     if args.epsilon is not None and not np.isfinite(args.epsilon):
@@ -549,8 +564,12 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return 0 if all(v["passed"] for v in payload["verifications"]) else 1

@@ -18,7 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 from .cogwheel import _check_timestep, cogwheel_hamiltonian, polynomial_coefficients
-from .linalg import as_matrix, expm
 from .permutation import Permutation
 from .spins import _check_pair, _check_spin_count, exchange_permutation
 
@@ -136,14 +135,22 @@ def orbit_decomposition(perm: Permutation) -> OrbitDecomposition:
 
 
 def _cycles_by_length(perm: Permutation) -> dict[int, np.ndarray]:
-    """Each cycle length L, ascending, with its cycles as the rows of a (count, L) array, in cycles() order.
-
-    ``h[rows[:, :, None], rows[:, None, :]]`` is then the (count, L, L) stack of their blocks of h.
-    """
+    """Each cycle length L, ascending, with its cycles in cycles() order as the rows of a (count, L) array."""
     groups: dict[int, list[tuple[int, ...]]] = {}
     for cycle in perm.cycles():
         groups.setdefault(len(cycle), []).append(cycle)
     return {length: np.array(groups[length], dtype=np.intp) for length in sorted(groups)}
+
+
+def _cycle_blocks(h: np.ndarray, tables: dict[int, np.ndarray]) -> list[np.ndarray]:
+    """The (count, L, L) stack of h's blocks for each table of _cycles_by_length, in its order.
+
+    Raises ValueError if any entry of h outside the blocks is nonzero.
+    """
+    stacks = [h[rows[:, :, None], rows[:, None, :]] for rows in tables.values()]
+    if sum(np.count_nonzero(stack) for stack in stacks) != np.count_nonzero(h):
+        raise ValueError("h has nonzero entries outside the cycle blocks of the permutation")
+    return stacks
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,27 +194,6 @@ def polynomial_matrix(perm: Permutation, coefficients) -> np.ndarray:
             image = perm.map[image]
         total[image, columns] += c
     return total
-
-
-def cycle_block_expm(perm: Permutation, h, scale: complex) -> np.ndarray:
-    """expm(scale * h) for an h that is block diagonal on the cycles of perm.
-
-    Every Hamiltonian this module builds lives inside the cycle blocks, so the
-    exponential is assembled block by block, one gather and scatter per length.
-    Raises ValueError if any entry of h outside the blocks is nonzero; there is
-    no dense fallback.
-    """
-    h = as_matrix(h)
-    if h.shape[0] != perm.size:
-        raise ValueError(f"h is {h.shape[0]}x{h.shape[0]}, the permutation acts on {perm.size} points")
-    tables = _cycles_by_length(perm).values()
-    stacks = [h[rows[:, :, None], rows[:, None, :]] for rows in tables]
-    if sum(np.count_nonzero(stack) for stack in stacks) != np.count_nonzero(h):
-        raise ValueError("h has nonzero entries outside the cycle blocks of the permutation")
-    out = np.zeros_like(h)
-    for rows, stack in zip(tables, stacks):
-        out[rows[:, :, None], rows[:, None, :]] = [expm(scale * block) for block in stack]
-    return out
 
 
 def uniform_polynomial_form(perm: Permutation, timestep: float = 1.0) -> np.ndarray:

@@ -1,0 +1,51 @@
+"""Dense reference evaluations and random words shared by the test modules.
+
+The references assemble full 2^N x 2^N matrices on purpose: the library works
+on cycle blocks, and the tests compare it with the dense expressions it stands for.
+"""
+
+import numpy as np
+from hypothesis import strategies as st
+
+from permlog.dynamics import ExchangeWord, _cycle_blocks, _cycles_by_length, polynomial_matrix
+from permlog.linalg import as_matrix, expm, max_abs_diff
+from permlog.spins import _down_counts, spinflip
+
+
+def cycle_block_expm(perm, h, scale):
+    """expm(scale * h), dense, for an h that is block diagonal on the cycles of perm.
+
+    Each cycle block is exponentiated on its own and scattered back; raises
+    ValueError if h has a nonzero entry outside the blocks or the wrong size.
+    """
+    h = as_matrix(h)
+    if h.shape[0] != perm.size:
+        raise ValueError(f"h is {h.shape[0]}x{h.shape[0]}, the permutation acts on {perm.size} points")
+    tables = _cycles_by_length(perm)
+    out = np.zeros_like(h)
+    for rows, stack in zip(tables.values(), _cycle_blocks(h, tables)):
+        out[rows[:, :, None], rows[:, None, :]] = [expm(scale * block) for block in stack]
+    return out
+
+
+def dense_spin_errors(perm, h, coeffs, t):
+    """The five matrix checks of the spin command, each as one dense 2^N x 2^N difference."""
+    n = perm.size.bit_length() - 1
+    down = _down_counts(n)
+    up = n - down
+    flip = spinflip(n).map
+    return {
+        "round_trip": max_abs_diff(cycle_block_expm(perm, h, -1j * t), perm.matrix()),
+        "commutes_number_up": max_abs_diff(h * up, up[:, None] * h),
+        "commutes_number_down": max_abs_diff(h * down, down[:, None] * h),
+        "commutes_spinflip": max_abs_diff(h[:, flip], h[flip, :]),
+        "polynomial_matches_blocks": max_abs_diff(polynomial_matrix(perm, coeffs), h),
+    }
+
+
+@st.composite
+def random_words(draw):
+    """Words of 1..6 exchanges on 2..9 spins; they may leave spins untouched."""
+    n = draw(st.integers(2, 9))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda pair: pair[0] != pair[1])
+    return ExchangeWord(n_spins=n, factors=tuple(draw(st.lists(pairs, min_size=1, max_size=6))))

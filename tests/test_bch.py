@@ -33,7 +33,6 @@ from permlog.bch import (
 )
 from permlog.dynamics import (
     ExchangeWord,
-    cycle_block_expm,
     evolution_permutation,
     parse_word,
     polynomial_matrix,
@@ -49,6 +48,8 @@ from permlog.linalg import (
 )
 from permlog.permutation import Permutation
 from permlog.spins import exchange_permutation
+
+from oracles import cycle_block_expm
 
 CHAIN_TOL = 1e-10
 DENSE_ORACLE_TOL = 1e-13  # structured vs dense evaluation of the same exact forms

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -17,9 +18,12 @@ from permlog.dynamics import (
     evolution_permutation,
     hamiltonian_from_permutation,
     parse_word,
+    uniform_polynomial_form,
 )
 from permlog.linalg import max_abs_diff
 from permlog.spins import number_down, number_up, spinflip
+
+from oracles import dense_spin_errors, random_words
 
 REFERENCE_ARGS = ["spin", "--n", "4", "--word", "P23 P12 P34", "--t", "1", "--format", "json"]
 
@@ -334,21 +338,82 @@ def test_spin_commutation_errors_equal_dense_products(n, word, t, capsys):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_spin_commutation_errors_equal_dense_products_off_symmetry(n, capsys, monkeypatch):
-    # a random H commutes with none of the three operators, so every error is nonzero
+    # a random H on the cycle blocks keeps the down count, so it commutes with the number
+    # operators, but not with the spinflip
+    word = " ".join(f"P{i}{i + 1}" for i in range(1, n))
+    perm = evolution_permutation(parse_word(word, n))
     rng = np.random.default_rng(n)
-    h = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    h = np.zeros((perm.size, perm.size), dtype=complex)
+    for cycle in perm.cycles():
+        shape = (len(cycle), len(cycle))
+        h[np.ix_(cycle, cycle)] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     monkeypatch.setattr(
         permlog.cli, "hamiltonian_from_permutation",
         lambda perm, t: BlockHamiltonianReport(matrix=h, per_length={}, timestep=t),
     )
-    monkeypatch.setattr(permlog.cli, "cycle_block_expm", lambda perm, m, scale: perm.matrix())
-    word = " ".join(f"P{i}{i + 1}" for i in range(1, n))
-    code, out = run_cli(["spin", "--n", str(n), "--word", word, "--format", "json"], capsys)
+    args = ["spin", "--n", str(n), "--word", word, "--format", "json"]
+    code, out = run_cli(args, capsys)
     assert code == 1
     got = reported_errors(out)
     dense = dense_commutation_errors(h, n)
-    assert all(dense[name] > 0 for name in COMMUTATION_CHECKS)
+    assert dense["commutes_number_up"] == dense["commutes_number_down"] == 0 < dense["commutes_spinflip"]
     assert {name: got[name] for name in COMMUTATION_CHECKS} == dense
+
+    # one tiny entry off the blocks: the checks refuse H instead of reading only the blocks
+    first, second = perm.cycles()[:2]
+    h[first[0], second[0]] = 1e-300
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: h has nonzero entries outside the cycle blocks of the permutation\n"
+
+
+SPIN_ORACLE_WORDS = [
+    parse_word("P23 P12 P34", 4),
+    parse_word("P12 P23 P45", 5),
+    parse_word("(1 2)(2 3)(3 4)(4 5)(5 6)(6 7)(7 8)(8 9)", 9),
+]
+
+
+def test_spin_oracle_words_cover_fixed_points_and_mixed_cycle_lengths():
+    for word in SPIN_ORACLE_WORDS:
+        lengths = set(evolution_permutation(word).cycle_lengths())
+        assert 1 in lengths and len(lengths) >= 3, str(word)
+
+
+def spin_check_errors(word, t):
+    """The max_error of each matrix check _cmd_spin reports, by name."""
+    payload = permlog.cli._cmd_spin(argparse.Namespace(n=word.n_spins, word=str(word), t=t), 1e-10)
+    return {v["name"]: v["max_error"] for v in payload["verifications"] if v["max_error"] is not None}
+
+
+def dense_check_errors(perm, t):
+    h = hamiltonian_from_permutation(perm, t).matrix
+    return dense_spin_errors(perm, h, uniform_polynomial_form(perm, t), t)
+
+
+@given(random_words(), st.sampled_from([1.0, 0.37, 2.5]))
+@example(SPIN_ORACLE_WORDS[0], 1.0)
+@example(SPIN_ORACLE_WORDS[1], 0.37)
+@example(SPIN_ORACLE_WORDS[2], 2.5)
+@settings(max_examples=30, deadline=None)
+def test_spin_block_errors_equal_dense_checks(word, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UntouchedSpinWarning)  # a random word may skip a spin
+        got = spin_check_errors(word, t)
+        perm = evolution_permutation(word)
+    assert got == dense_check_errors(perm, t)
+
+
+@pytest.mark.parametrize("word, t", [(SPIN_ORACLE_WORDS[0], 1.0), (SPIN_ORACLE_WORDS[1], 0.37), (parse_word("P12", 2), 2.5)])
+def test_spin_block_errors_equal_dense_checks_across_down_counts(word, t, monkeypatch):
+    # followed by the spinflip, the evolution still commutes with the spinflip but changes
+    # down counts, so the number checks see nonzero differences on the blocks
+    perm = evolution_permutation(word) * spinflip(word.n_spins)
+    monkeypatch.setattr(permlog.cli, "evolution_permutation", lambda w: perm)
+    got = spin_check_errors(word, t)
+    assert got["commutes_number_up"] > 0 and got["commutes_number_down"] > 0
+    assert got == dense_check_errors(perm, t)
 
 
 # --- bch command --------------------------------------------------------------------
@@ -431,6 +496,29 @@ def test_bch_negative_k_range_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert "error: --k-range" in captured.err
+
+
+def test_bch_k_range_within_the_sweep_step_budget(capsys, monkeypatch):
+    # each k in -K..K runs one coupling check per family: 2(2K + 1) <= MAX_SWEEP_STEPS
+    largest = (MAX_SWEEP_STEPS - 2) // 4
+    assert 2 * (2 * largest + 1) <= MAX_SWEEP_STEPS < 2 * (2 * (largest + 1) + 1)
+
+    def refuse(*args):
+        raise AssertionError("evaluated the chain before rejecting --k-range")
+
+    args = ["bch", "--n", "4", "--word", "P23 P12 P34", "--format", "json", "--k-range"]
+    monkeypatch.setattr(permlog.cli, "bch_chain", refuse)
+    code = main(args + [str(largest + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --k-range must be at most 249, got {largest + 1}\n"
+
+    monkeypatch.undo()
+    monkeypatch.setattr(permlog.cli, "coupling_variant_check", lambda word, k, family, tol: True)
+    code, out = run_cli(args + [str(largest)], capsys)
+    assert code == 0
+    assert len(json.loads(out)["results"]["coupling_variants"]) == 2 * (2 * largest + 1)
 
 
 def test_bch_sweep_step_cap(capsys):
@@ -574,6 +662,16 @@ def test_output_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(target.read_text())
     assert doc["command"] == "spin"
+
+
+@pytest.mark.parametrize("where, reason", [("missing/report.json", "No such file or directory"), ("", "Is a directory")])
+def test_unwritable_output_is_a_usage_error(where, reason, tmp_path, capsys):
+    target = tmp_path / where
+    code = main(REFERENCE_ARGS + ["--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: {reason}\n"
 
 
 def test_memory_error_in_a_command_is_a_usage_error(capsys, monkeypatch):

@@ -14,7 +14,8 @@ from permlog.dynamics import (
     ExchangeWord,
     UntouchedSpinWarning,
     WordParseError,
-    cycle_block_expm,
+    _cycle_blocks,
+    _cycles_by_length,
     evolution_permutation,
     hamiltonian_from_permutation,
     orbit_decomposition,
@@ -27,6 +28,8 @@ from permlog.dynamics import (
 from permlog.linalg import commutator, dagger, expm, max_abs_diff
 from permlog.permutation import Permutation
 from permlog.spins import SpinConfiguration, number_down, number_up, spinflip
+
+from oracles import cycle_block_expm, random_words
 
 ROUND_TRIP_TOL = 1e-10
 
@@ -321,6 +324,16 @@ def test_cycle_block_expm_rejects_one_off_block_entry(reference_perm):
         cycle_block_expm(reference_perm, h, -1j)
 
 
+def test_cycle_blocks_gather_every_cycle_block(reference_perm):
+    h = hamiltonian_from_permutation(reference_perm, 1.0).matrix
+    tables = _cycles_by_length(reference_perm)
+    stacks = _cycle_blocks(h, tables)
+    assert [stack.shape for stack in stacks] == [(len(rows), length, length) for length, rows in tables.items()]
+    for rows, stack in zip(tables.values(), stacks):
+        for cycle, block in zip(rows, stack):
+            assert np.array_equal(block, h[np.ix_(cycle, cycle)])
+
+
 def test_cycle_block_expm_rejects_a_size_mismatch(reference_perm):
     with pytest.raises(ValueError):
         cycle_block_expm(reference_perm, np.zeros((8, 8)), -1j)
@@ -444,13 +457,6 @@ def assert_matches_per_cycle_reference(perm, t):
         block = report.per_length[len(cycle)]
         assert np.array_equal(block, cogwheel_hamiltonian(len(cycle), t))
         assert np.array_equal(report.matrix[np.ix_(cycle, cycle)], block)
-
-
-@st.composite
-def random_words(draw):
-    n = draw(st.integers(2, 9))
-    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda pair: pair[0] != pair[1])
-    return ExchangeWord(n_spins=n, factors=tuple(draw(st.lists(pairs, min_size=1, max_size=6))))
 
 
 @given(random_words(), st.sampled_from([1.0, 0.37, 2.5]))
