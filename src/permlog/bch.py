@@ -33,7 +33,6 @@ import numpy as np
 from .cogwheel import shift_permutation
 from .dynamics import (
     ExchangeWord,
-    _cycles_by_length,
     evolution_permutation,
     polynomial_matrix,
     uniform_polynomial_form,
@@ -134,12 +133,6 @@ def _assemble(blocks: Sequence[np.ndarray], n_spins: int) -> np.ndarray:
     return out
 
 
-def _sector_blocks(m: np.ndarray, n_spins: int) -> list[np.ndarray]:
-    """The sector blocks of a dense 2^N x 2^N matrix."""
-    members, _ = _sectors(n_spins)
-    return [m[np.ix_(idx, idx)] for idx in members]
-
-
 def _times_exp_involution(m: np.ndarray, p: Permutation, theta: float) -> np.ndarray:
     """m @ exp(-i*theta*P) for a permutation involution P, as one column gather.
 
@@ -154,23 +147,36 @@ def _times_exp_involution(m: np.ndarray, p: Permutation, theta: float) -> np.nda
     return out
 
 
-def _times_exp_tail_sum(m: np.ndarray, word: ExchangeWord, theta: float) -> np.ndarray:
-    """m @ exp(-i*theta*(P_last2 + P_last)), exponentiated on the spins the tail touches.
+def _tail_sum_gate(word: ExchangeWord, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each local state's configuration, and the gate exp(-i*theta*(P_last2 + P_last)) on the tail spins.
 
-    The sum acts on at most four spins, so its exponential is a 2^k x 2^k gate
-    (k <= 4) times the identity on the rest. The column axis of m is split into
-    N binary axes, spin 1 the most significant, and the gate is contracted onto
-    the tail's k axes; the 2^N x 2^N exponential is never formed.
+    The sum acts on the k <= 4 spins the tail touches, so its 2^N x 2^N exponential
+    is this 2^k x 2^k gate times the identity on the rest. states[y] puts down the
+    tail spins that local state y does; spin 1 is the most significant bit in both.
     """
     spins = sorted(set(word.factors[-2]) | set(word.factors[-1]))
     k = len(spins)
     local = {s: r for r, s in enumerate(spins, start=1)}
     tail_sum = sum(exchange_permutation(k, local[i], local[j]).matrix() for i, j in word.factors[-2:])
-    gate = expm(-1j * theta * tail_sum).reshape((2,) * (2 * k))
-    columns = m.reshape((m.shape[0],) + (2,) * word.n_spins)  # axis s carries spin s
-    out = np.tensordot(columns, gate, axes=(spins, list(range(k))))
-    out = np.moveaxis(out, range(out.ndim - k, out.ndim), spins)  # tensordot appends the gate's axes
-    return out.reshape(m.shape)
+    states = sum((np.arange(1 << k) >> (k - r) & 1) << (word.n_spins - s) for s, r in local.items())
+    return states, expm(-1j * theta * tail_sum)
+
+
+def _times_exp_tail_sum(m: np.ndarray, idx: np.ndarray, states: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """m @ exp(-i*theta*(P_last2 + P_last)) for m the block of the sector with configurations idx.
+
+    Column x of the product sums m[:, rest(x) | states[y]] * gate[y, local(x)] over the
+    y with a nonzero weight, rest(x) being x with the tail spins up. The gate keeps the
+    tail spins' down count, so every y that would leave the sector has weight exactly 0.
+    """
+    tail = idx & states[-1]
+    rest, local = idx ^ tail, np.searchsorted(states, tail)
+    out = np.zeros_like(m)
+    for y, state in enumerate(states):
+        weights = gate[y, local]
+        cols = np.flatnonzero(weights)
+        out[:, cols] += m[:, np.searchsorted(idx, rest[cols] | state)] * weights[cols]
+    return out
 
 
 def _require_commuting_tail(word: ExchangeWord) -> None:
@@ -188,28 +194,21 @@ def _require_commuting_tail(word: ExchangeWord) -> None:
 def _sector_chain_forms(
     word: ExchangeWord, local: list[list[Permutation]], theta: float
 ) -> dict[str, list[np.ndarray]]:
-    """The three factored forms at coupling theta, one block per sector (tail already checked).
-
-    The tail-sum form contracts its gate onto the head assembled dense, so its
-    entries keep the summation order of the full-matrix ``tensordot``.
-    """
+    """The three factored forms at coupling theta, one block per sector (tail already checked)."""
     m = len(word.factors)
-    heads, factored, tail_product = [], [], []
-    for factors in local:
-        head = identity(factors[0].size)
+    members, _ = _sectors(word.n_spins)
+    states, gate = _tail_sum_gate(word, theta)
+    factored, tail_sum, tail_product = [], [], []
+    for idx, factors in zip(members, local):
+        head = identity(idx.size)
         for p in factors[:-2]:
             head = _times_exp_involution(head, p, theta)
-        heads.append(head)
         last2 = _times_exp_involution(head, factors[-2], theta)
         factored.append((1j**m) * _times_exp_involution(last2, factors[-1], theta))
+        tail_sum.append((1j**m) * _times_exp_tail_sum(head, idx, states, gate))
         merged = _times_exp_involution(head, factors[-2] * factors[-1], theta)
         tail_product.append((1j ** (m - 1)) * merged)
-    tail_sum = (1j**m) * _times_exp_tail_sum(_assemble(heads, word.n_spins), word, theta)
-    return {
-        FORM_FACTORED: factored,
-        FORM_TAIL_SUM: _sector_blocks(tail_sum, word.n_spins),
-        FORM_TAIL_PRODUCT: tail_product,
-    }
+    return {FORM_FACTORED: factored, FORM_TAIL_SUM: tail_sum, FORM_TAIL_PRODUCT: tail_product}
 
 
 def _form_deviations(word: ExchangeWord, theta: float, signs: dict[str, float]) -> dict[str, float]:
@@ -242,7 +241,7 @@ def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> BchChainResult:
     coeffs = uniform_polynomial_form(perm, timestep)
     signs = dict.fromkeys((FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT), 1.0)
     deviations = _form_deviations(word, np.pi / 2, signs)
-    shifts = [shift_permutation(length) for length in _cycles_by_length(perm)]
+    shifts = [shift_permutation(length) for length in sorted(set(perm.cycle_lengths()))]
     deviations[FORM_HAMILTONIAN] = max(
         max_abs_diff(expm(-1j * timestep * polynomial_matrix(s, coeffs)), s.matrix()) for s in shifts
     )

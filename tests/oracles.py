@@ -1,7 +1,8 @@
 """Dense reference evaluations and random words shared by the test modules.
 
 The references assemble full 2^N x 2^N matrices on purpose: the library works
-on cycle blocks, and the tests compare it with the dense expressions it stands for.
+on cycle blocks and down-count sector blocks, and the tests compare it with the
+dense expressions it stands for.
 """
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from permlog.dynamics import ExchangeWord, _cycle_blocks, _cycles_by_length, polynomial_matrix
 from permlog.linalg import as_matrix, expm, max_abs_diff
-from permlog.spins import _down_counts, spinflip
+from permlog.spins import _down_counts, exchange_permutation, spinflip
 
 
 def cycle_block_expm(perm, h, scale):
@@ -41,6 +42,25 @@ def dense_spin_errors(perm, h, coeffs, t):
         "commutes_spinflip": max_abs_diff(h[:, flip], h[flip, :]),
         "polynomial_matches_blocks": max_abs_diff(polynomial_matrix(perm, coeffs), h),
     }
+
+
+def dense_times_exp_tail_sum(m: np.ndarray, word: ExchangeWord, theta: float) -> np.ndarray:
+    """m @ exp(-i*theta*(P_last2 + P_last)), exponentiated on the spins the tail touches.
+
+    The sum acts on at most four spins, so its exponential is a 2^k x 2^k gate
+    (k <= 4) times the identity on the rest. The column axis of m is split into
+    N binary axes, spin 1 the most significant, and the gate is contracted onto
+    the tail's k axes; the 2^N x 2^N exponential is never formed.
+    """
+    spins = sorted(set(word.factors[-2]) | set(word.factors[-1]))
+    k = len(spins)
+    local = {s: r for r, s in enumerate(spins, start=1)}
+    tail_sum = sum(exchange_permutation(k, local[i], local[j]).matrix() for i, j in word.factors[-2:])
+    gate = expm(-1j * theta * tail_sum).reshape((2,) * (2 * k))
+    columns = m.reshape((m.shape[0],) + (2,) * word.n_spins)  # axis s carries spin s
+    out = np.tensordot(columns, gate, axes=(spins, list(range(k))))
+    out = np.moveaxis(out, range(out.ndim - k, out.ndim), spins)  # tensordot appends the gate's axes
+    return out.reshape(m.shape)
 
 
 @st.composite

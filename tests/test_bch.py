@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ from permlog.linalg import (
 from permlog.permutation import Permutation
 from permlog.spins import exchange_permutation
 
-from oracles import cycle_block_expm
+from oracles import cycle_block_expm, dense_times_exp_tail_sum
 
 CHAIN_TOL = 1e-10
 DENSE_ORACLE_TOL = 1e-13  # structured vs dense evaluation of the same exact forms
@@ -442,6 +443,49 @@ def test_coupling_variants_match_dense_oracle(k, family, tail):
         max_abs_diff(mat, signs[label] * baseline) <= CHAIN_TOL for label, mat in dense.items()
     )
     assert coupling_variant_check(word, k, family, CHAIN_TOL) == dense_verdict
+
+
+def dense_head(word, theta):
+    """The word's head exponentials as a dense matrix, by the column gathers the sector blocks use."""
+    head = identity(1 << word.n_spins)
+    for i, j in word.factors[:-2]:
+        head = _times_exp_involution(head, exchange_permutation(word.n_spins, i, j), theta)
+    return head
+
+
+@pytest.mark.parametrize("theta", [np.pi / 2, 3 * np.pi / 2, 4.5 * np.pi, 0.3, -2.7])
+@pytest.mark.parametrize("tail", ["disjoint", "repeated"])
+@pytest.mark.parametrize("n", range(4, 10))
+def test_tail_sum_blocks_match_dense_contraction(n, tail, theta):
+    # the per-sector gate against the full-matrix contraction it replaces
+    word = random_commuting_tail_word(600 + n, tail, n)
+    dense = (1j ** len(word.factors)) * dense_times_exp_tail_sum(dense_head(word, theta), word, theta)
+    assert off_sector_max(dense) == 0.0
+    blocks = _sector_chain_forms(word, _local_factors(word), theta)[FORM_TAIL_SUM]
+    for idx, block in zip(_sectors(n)[0], blocks):
+        assert max_abs_diff(block, dense[np.ix_(idx, idx)]) <= 1e-15
+
+
+def test_chain_and_coupling_check_build_no_dense_matrix(monkeypatch):
+    # two dense 2^10 x 2^10 complex matrices take 33.5 MB; the sector blocks need far less
+    word = ExchangeWord(n_spins=10, factors=tuple((i, i + 1) for i in range(1, 10)) + ((1, 2), (3, 4)))
+
+    def refuse(*args):
+        raise AssertionError("a dense matrix was assembled")
+
+    monkeypatch.setattr(permlog.bch, "_assemble", refuse)
+    checks = (
+        lambda: bch_chain(word).max_deviation < CHAIN_TOL,
+        lambda: coupling_variant_check(word, 1, "plus_three_half"),
+    )
+    for check in checks:
+        tracemalloc.start()
+        try:
+            assert check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * 4**10
 
 
 def dense_perturbed_product(word, config):
