@@ -12,11 +12,12 @@ Each form is evaluated from the structure of its factors rather than as a
 dense 2^N x 2^N product. An exchange never changes how many spins are down, so
 every product of exchange exponentials is block diagonal over the N + 1
 sectors of fixed down count, of sizes C(N, k). The products are formed one
-square block per sector: multiplying by exp(-i*theta*P) for an exchange P is
-one column gather within the block, the merged tail sum is a local gate on the
-at most four spins it touches, and exp(-i*T*H) is taken once per distinct cycle
-length. A dense matrix is assembled from the blocks only where a public function
-returns one. The dense products remain in the tests as independent oracles.
+square block per sector, and each sector is used before the next is formed:
+multiplying by exp(-i*theta*P) for an exchange P is one column gather within
+the block, the merged tail sum is a local gate on the at most four spins it
+touches, and exp(-i*T*H) is taken once per distinct cycle length. A dense
+matrix is assembled from the blocks only where a public function returns one.
+The dense products remain in the tests as independent oracles.
 
 Perturbing the pi/2 couplings breaks the closed forms: the product stops being
 a phased permutation, quantified by :func:`superposition_leakage`.
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Sequence, Union
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -113,18 +115,18 @@ def _sectors(n_spins: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return members, position
 
 
-def _local_factors(word: ExchangeWord) -> list[list[Permutation]]:
-    """Each factor of the word restricted to each down-count sector: ``[sector][factor]``.
+def _local_factors(word: ExchangeWord) -> Iterator[tuple[np.ndarray, list[Permutation]]]:
+    """Each down-count sector's configurations and the word's factors restricted to it, one sector at a time.
 
     The Permutation constructor refuses a map that is not a bijection, so a
     factor that left its sector could not yield a block.
     """
     members, position = _sectors(word.n_spins)
     perms = [exchange_permutation(word.n_spins, i, j) for i, j in word.factors]
-    return [[Permutation(position[p.map[idx]]) for p in perms] for idx in members]
+    return ((idx, [Permutation(position[p.map[idx]]) for p in perms]) for idx in members)
 
 
-def _assemble(blocks: Sequence[np.ndarray], n_spins: int) -> np.ndarray:
+def _assemble(blocks: Iterable[np.ndarray], n_spins: int) -> np.ndarray:
     """The dense 2^N x 2^N matrix with the given sector blocks and zeros elsewhere."""
     members, _ = _sectors(n_spins)
     out = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
@@ -145,6 +147,13 @@ def _times_exp_involution(m: np.ndarray, p: Permutation, theta: float) -> np.nda
     out *= -1j * np.sin(theta)
     out += np.cos(theta) * m
     return out
+
+
+def _times_exps(m: np.ndarray, factors: Sequence[Permutation], thetas: Iterable[float]) -> np.ndarray:
+    """m @ exp(-i*theta_1*P_1) @ exp(-i*theta_2*P_2) @ ..., one column gather per factor."""
+    for p, theta in zip(factors, thetas):
+        m = _times_exp_involution(m, p, theta)
+    return m
 
 
 def _tail_sum_gate(word: ExchangeWord, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -191,36 +200,30 @@ def _require_commuting_tail(word: ExchangeWord) -> None:
         )
 
 
-def _sector_chain_forms(
-    word: ExchangeWord, local: list[list[Permutation]], theta: float
-) -> dict[str, list[np.ndarray]]:
-    """The three factored forms at coupling theta, one block per sector (tail already checked)."""
+def _sector_chain_forms(word: ExchangeWord, theta: float) -> Iterator[tuple[list[Permutation], dict]]:
+    """Each sector's local factors and its blocks of the three factored forms at coupling theta (tail checked)."""
     m = len(word.factors)
-    members, _ = _sectors(word.n_spins)
     states, gate = _tail_sum_gate(word, theta)
-    factored, tail_sum, tail_product = [], [], []
-    for idx, factors in zip(members, local):
-        head = identity(idx.size)
-        for p in factors[:-2]:
-            head = _times_exp_involution(head, p, theta)
-        last2 = _times_exp_involution(head, factors[-2], theta)
-        factored.append((1j**m) * _times_exp_involution(last2, factors[-1], theta))
-        tail_sum.append((1j**m) * _times_exp_tail_sum(head, idx, states, gate))
-        merged = _times_exp_involution(head, factors[-2] * factors[-1], theta)
-        tail_product.append((1j ** (m - 1)) * merged)
-    return {FORM_FACTORED: factored, FORM_TAIL_SUM: tail_sum, FORM_TAIL_PRODUCT: tail_product}
+    for idx, factors in _local_factors(word):
+        head = _times_exps(identity(idx.size), factors[:-2], repeat(theta))
+        yield factors, {
+            FORM_FACTORED: (1j**m) * _times_exps(head, factors[-2:], repeat(theta)),
+            FORM_TAIL_SUM: (1j**m) * _times_exp_tail_sum(head, idx, states, gate),
+            FORM_TAIL_PRODUCT: (1j ** (m - 1)) * _times_exp_involution(head, factors[-2] * factors[-1], theta),
+        }
 
 
 def _form_deviations(word: ExchangeWord, theta: float, signs: dict[str, float]) -> dict[str, float]:
     """Each factored form's largest departure from signs[label] times the product, sector by sector."""
-    local = _local_factors(word)
-    # each sector's block of the evolution permutation, as the product of its local
-    # factors; evolution_permutation would warn about untouched spins again
-    baselines = [reduce(Permutation.__mul__, factors).matrix() for factors in local]
-    return {
-        label: max(max_abs_diff(block, signs[label] * base) for block, base in zip(blocks, baselines))
-        for label, blocks in _sector_chain_forms(word, local, theta).items()
-    }
+    deviations: dict[str, float] = {}
+    for factors, forms in _sector_chain_forms(word, theta):
+        # the sector's block of the evolution permutation, as the product of its local
+        # factors; evolution_permutation would warn about untouched spins again
+        base = reduce(Permutation.__mul__, factors).matrix()
+        for label, block in forms.items():
+            dev = max_abs_diff(block, signs[label] * base)
+            deviations[label] = max(deviations.get(label, dev), dev)
+    return deviations
 
 
 def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> BchChainResult:
@@ -301,18 +304,11 @@ def superposition_leakage(m, unitarity_tol: float = DEFAULT_UNITARITY_TOL) -> fl
     return float(min(1.0, max(0.0, (1.0 - column_peaks).max())))
 
 
-def _perturbed_blocks(word: ExchangeWord, config: PerturbationConfig) -> list[np.ndarray]:
-    """The sector blocks of :func:`perturb_coupling`'s product."""
-    m = len(word.factors)
-    offsets = config.offsets(m)
-    base = (2 * config.k + 0.5) * np.pi
-    blocks = []
-    for factors in _local_factors(word):
-        block = identity(factors[0].size)
-        for p, eps in zip(factors, offsets):
-            block = _times_exp_involution(block, p, base + eps)
-        blocks.append((1j**m) * block)  # a power of i multiplies exactly, so it is applied once
-    return blocks
+def _perturbed_blocks(word: ExchangeWord, config: PerturbationConfig) -> Iterator[np.ndarray]:
+    """The sector blocks of :func:`perturb_coupling`'s product, one at a time; the offsets are checked at once."""
+    thetas = (2 * config.k + 0.5) * np.pi + config.offsets(len(word.factors))
+    phase = 1j ** len(word.factors)  # a power of i multiplies exactly, so it is applied once
+    return (phase * _times_exps(identity(idx.size), factors, thetas) for idx, factors in _local_factors(word))
 
 
 def perturb_coupling(word: ExchangeWord, config: PerturbationConfig = PerturbationConfig()) -> np.ndarray:

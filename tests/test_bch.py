@@ -26,7 +26,6 @@ from permlog.bch import (
 )
 from permlog.bch import (
     _assemble,
-    _local_factors,
     _require_commuting_tail,
     _sector_chain_forms,
     _sectors,
@@ -306,9 +305,9 @@ def test_shifted_coupling_family_still_exact(reference_word):
 # --- dense oracles for the structure-aware evaluation ------------------------------------
 #
 # The library evaluates each form from the structure of its factors (column gathers
-# within each down-count sector, a local tail gate, per-cycle exponentials). These tests
-# rebuild the dense 2^N x 2^N products the forms are defined by and require agreement
-# on random words, n <= 9.
+# within each down-count sector, a local tail gate, one exponential per cycle length).
+# These tests rebuild the dense 2^N x 2^N products the forms are defined by and require
+# agreement on random words, n <= 9.
 
 
 def random_commuting_tail_word(seed, tail, n=None):
@@ -325,8 +324,8 @@ def random_commuting_tail_word(seed, tail, n=None):
 
 def assembled_chain_forms(word, theta):
     """The library's three factored forms at coupling theta, assembled dense from their sector blocks."""
-    blocks = _sector_chain_forms(word, _local_factors(word), theta)
-    return {label: _assemble(form, word.n_spins) for label, form in blocks.items()}
+    sectors = [forms for _, forms in _sector_chain_forms(word, theta)]
+    return {label: _assemble([forms[label] for forms in sectors], word.n_spins) for label in sectors[0]}
 
 
 def dense_hamiltonian_form(perm, timestep):
@@ -461,31 +460,34 @@ def test_tail_sum_blocks_match_dense_contraction(n, tail, theta):
     word = random_commuting_tail_word(600 + n, tail, n)
     dense = (1j ** len(word.factors)) * dense_times_exp_tail_sum(dense_head(word, theta), word, theta)
     assert off_sector_max(dense) == 0.0
-    blocks = _sector_chain_forms(word, _local_factors(word), theta)[FORM_TAIL_SUM]
+    blocks = [forms[FORM_TAIL_SUM] for _, forms in _sector_chain_forms(word, theta)]
     for idx, block in zip(_sectors(n)[0], blocks):
         assert max_abs_diff(block, dense[np.ix_(idx, idx)]) <= 1e-15
 
 
 def test_chain_and_coupling_check_build_no_dense_matrix(monkeypatch):
-    # two dense 2^10 x 2^10 complex matrices take 33.5 MB; the sector blocks need far less
+    # a dense 2^10 x 2^10 complex matrix takes 16.5 of the largest sector's blocks; each sector
+    # is compared or checked as it is formed, so the peak stays within a few such blocks
     word = ExchangeWord(n_spins=10, factors=tuple((i, i + 1) for i in range(1, 10)) + ((1, 2), (3, 4)))
+    largest_block = 16 * math.comb(10, 5) ** 2
 
     def refuse(*args):
         raise AssertionError("a dense matrix was assembled")
 
     monkeypatch.setattr(permlog.bch, "_assemble", refuse)
     checks = (
-        lambda: bch_chain(word).max_deviation < CHAIN_TOL,
-        lambda: coupling_variant_check(word, 1, "plus_three_half"),
+        (lambda: bch_chain(word).max_deviation < CHAIN_TOL, 10),
+        (lambda: coupling_variant_check(word, 1, "plus_three_half"), 10),
+        (lambda: 0.0 < perturbation_leakage(word, PerturbationConfig(epsilon=0.01)) < 1.0, 5.5),
     )
-    for check in checks:
+    for check, blocks in checks:
         tracemalloc.start()
         try:
             assert check()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 16 * 4**10
+        assert peak < blocks * largest_block
 
 
 def dense_perturbed_product(word, config):

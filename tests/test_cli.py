@@ -20,7 +20,7 @@ from permlog.dynamics import (
     parse_word,
     uniform_polynomial_form,
 )
-from permlog.linalg import max_abs_diff
+from permlog.linalg import expm, max_abs_diff
 from permlog.spins import number_down, number_up, spinflip
 
 from oracles import dense_spin_errors, random_words
@@ -403,6 +403,19 @@ def test_spin_block_errors_equal_dense_checks(word, t):
         got = spin_check_errors(word, t)
         perm = evolution_permutation(word)
     assert got == dense_check_errors(perm, t)
+
+
+def test_spin_round_trip_takes_one_expm_per_distinct_block(monkeypatch):
+    # every cycle of one length carries the same block bytes: 60 cycles of 3 lengths at n = 9
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(permlog.cli, "expm", counting_expm)
+    spin_check_errors(SPIN_ORACLE_WORDS[2], 1.0)
+    assert sorted(calls) == [(1, 1), (3, 3), (9, 9)]
 
 
 @pytest.mark.parametrize("word, t", [(SPIN_ORACLE_WORDS[0], 1.0), (SPIN_ORACLE_WORDS[1], 0.37), (parse_word("P12", 2), 2.5)])
