@@ -14,7 +14,6 @@ from .bch import (
     bch_chain,
     bch_series_truncated,
     coupling_variant_check,
-    perturb_coupling,
     perturbation_leakage,
     superposition_leakage,
 )
@@ -52,10 +51,8 @@ from .linalg import (
     NonUnitaryError,
     commutator,
     dagger,
-    exp_involution,
     expm,
     is_permutation_matrix,
-    matrices_equal,
     max_abs_diff,
 )
 from .permutation import Permutation
@@ -107,19 +104,16 @@ __all__ = [
     "evolution_permutation",
     "exchange_pauli",
     "exchange_permutation",
-    "exp_involution",
     "expm",
     "four_spin_configuration",
     "four_spin_state_label",
     "hamiltonian_from_permutation",
     "is_permutation_matrix",
-    "matrices_equal",
     "max_abs_diff",
     "number_down",
     "number_up",
     "orbit_decomposition",
     "parse_word",
-    "perturb_coupling",
     "perturbation_leakage",
     "polynomial_coefficients",
     "polynomial_matrix",

@@ -15,9 +15,9 @@ sectors of fixed down count, of sizes C(N, k). The products are formed one
 square block per sector, and each sector is used before the next is formed:
 multiplying by exp(-i*theta*P) for an exchange P is one column gather within
 the block, the merged tail sum is a local gate on the at most four spins it
-touches, and exp(-i*T*H) is taken once per distinct cycle length. A dense
-matrix is assembled from the blocks only where a public function returns one.
-The dense products remain in the tests as independent oracles.
+touches, and exp(-i*T*H) is taken once per distinct cycle length. Only the
+functions given a dense matrix form one; the dense products remain in the tests
+as independent oracles.
 
 Perturbing the pi/2 couplings breaks the closed forms: the product stops being
 a phased permutation, quantified by :func:`superposition_leakage`.
@@ -51,7 +51,7 @@ from .linalg import (
     max_abs_diff,
 )
 from .permutation import Permutation
-from .spins import _down_counts, exchange_permutation
+from .spins import exchange_permutation, number_down
 
 FORM_FACTORED = "exp_each_factor"
 FORM_TAIL_SUM = "exp_tail_sum"
@@ -104,7 +104,7 @@ def _sectors(n_spins: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     Built on first use and cached, one entry per spin count (at most SPIN_CAP - 1 of
     them); the arrays are read-only.
     """
-    counts = _down_counts(n_spins)
+    counts = number_down(n_spins)
     order = np.argsort(counts, kind="stable")
     members = tuple(np.split(order, np.cumsum(np.bincount(counts))[:-1]))
     position = np.empty(order.size, dtype=np.intp)
@@ -124,15 +124,6 @@ def _local_factors(word: ExchangeWord) -> Iterator[tuple[np.ndarray, list[Permut
     members, position = _sectors(word.n_spins)
     perms = [exchange_permutation(word.n_spins, i, j) for i, j in word.factors]
     return ((idx, [Permutation(position[p.map[idx]]) for p in perms]) for idx in members)
-
-
-def _assemble(blocks: Iterable[np.ndarray], n_spins: int) -> np.ndarray:
-    """The dense 2^N x 2^N matrix with the given sector blocks and zeros elsewhere."""
-    members, _ = _sectors(n_spins)
-    out = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
-    for idx, block in zip(members, blocks):
-        out[np.ix_(idx, idx)] = block
-    return out
 
 
 def _times_exp_involution(m: np.ndarray, p: Permutation, theta: float) -> np.ndarray:
@@ -305,26 +296,18 @@ def superposition_leakage(m, unitarity_tol: float = DEFAULT_UNITARITY_TOL) -> fl
 
 
 def _perturbed_blocks(word: ExchangeWord, config: PerturbationConfig) -> Iterator[np.ndarray]:
-    """The sector blocks of :func:`perturb_coupling`'s product, one at a time; the offsets are checked at once."""
+    """The sector blocks of :func:`perturbation_leakage`'s product, one at a time; the offsets are checked at once."""
     thetas = (2 * config.k + 0.5) * np.pi + config.offsets(len(word.factors))
     phase = 1j ** len(word.factors)  # a power of i multiplies exactly, so it is applied once
     return (phase * _times_exps(identity(idx.size), factors, thetas) for idx, factors in _local_factors(word))
 
 
-def perturb_coupling(word: ExchangeWord, config: PerturbationConfig = PerturbationConfig()) -> np.ndarray:
-    """Product over factors of i * exp(-i*((2k + 1/2)*pi + epsilon_f) * P_f), in word order.
-
-    At zero offsets this reproduces the exact permutation product; any nonzero
-    offset generically leaks weight off the permutation pattern.
-    """
-    return _assemble(_perturbed_blocks(word, config), word.n_spins)
-
-
 def perturbation_leakage(word: ExchangeWord, config: PerturbationConfig = PerturbationConfig()) -> float:
-    """``superposition_leakage(perturb_coupling(word, config))``, without the dense product.
+    """:func:`superposition_leakage` of the product, in word order, of i * exp(-i*((2k + 1/2)*pi + epsilon_f) * P_f).
 
-    The product is block diagonal over the down-count sectors, so each block is
-    checked for unitarity with the same tolerance and no column's peak lies
+    The product is the exact permutation product at zero offsets, and any nonzero offset
+    generically leaks weight off it. It is block diagonal over the down-count sectors, so
+    each block is checked for unitarity with the same tolerance and no column's peak lies
     outside its block: the leakage is the largest of the blocks' leakages.
     """
     return max(superposition_leakage(block) for block in _perturbed_blocks(word, config))

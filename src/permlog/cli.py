@@ -57,7 +57,7 @@ from .linalg import (
     is_permutation_matrix,
     max_abs_diff,
 )
-from .spins import SPIN_CAP, SpinConfiguration, _down_counts, four_spin_state_label, spinflip
+from .spins import SPIN_CAP, SpinConfiguration, four_spin_state_label, number_down, spinflip
 
 SCHEMA_VERSION = 1
 TOL_ENV_VAR = "PERMLOG_TOL"
@@ -290,7 +290,7 @@ def _cmd_cogwheel(args, tol: float) -> dict:
     n, t = args.n, args.t
     phases = None
     if args.phases is not None:
-        phases = [float(p) for p in args.phases.split(",")]
+        phases = [_parse_number("each --phases value", p) for p in args.phases.split(",")]
         if len(phases) != n:
             raise ValueError(f"--phases needs exactly {n} comma-separated values")
     zero_phases = phases is None or all(p == 0.0 for p in phases)
@@ -359,7 +359,7 @@ def _cmd_spin(args, tol: float) -> dict:
     # and blocks with equal bytes have the same expm, so the round trip takes one per distinct block.
     tables = _cycles_by_length(perm)
     blocks = list(zip(tables.values(), _cycle_blocks(h, tables), map(shift_permutation, tables)))
-    down = _down_counts(n)
+    down = number_down(n)
     flip = spinflip(n).map
     period = len(coeffs)
 
@@ -399,18 +399,20 @@ def _cmd_spin(args, tol: float) -> dict:
     }
 
 
+def _parse_number(name: str, text: str, kind: type = float):
+    """kind(text), or a ValueError that names the input."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
+
+
 def _parse_sweep(spec_text: str) -> np.ndarray:
     parts = spec_text.split(":")
     if len(parts) != 3:
         raise ValueError("--epsilon-sweep expects start:stop:steps")
-    values = []
-    for name, text, kind in zip(("start", "stop", "steps"), parts, (float, float, int)):
-        try:
-            values.append(kind(text))
-        except ValueError:
-            noun = "an integer" if kind is int else "a number"
-            raise ValueError(f"--epsilon-sweep {name} must be {noun}, got {text!r}") from None
-    start, stop, steps = values
+    names = (f"--epsilon-sweep {name}" for name in ("start", "stop", "steps"))
+    start, stop, steps = map(_parse_number, names, parts, (float, float, int))
     if not 1 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"--epsilon-sweep steps must be in 1..{MAX_SWEEP_STEPS}, got {steps}")
     if not np.isfinite(stop - start):  # an infinite endpoint, or a span that overflows
@@ -508,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bch.add_argument("--word", required=True, help='e.g. "P23 P12 P34"')
     p_bch.add_argument("--epsilon", type=float, default=None, help="single coupling offset")
     p_bch.add_argument("--epsilon-sweep", dest="epsilon_sweep", default=None,
-                       help=f"start:stop:steps leakage sweep (at most {MAX_SWEEP_STEPS} steps)")
+                       help=f"start:stop:steps leakage sweep (at most {MAX_SWEEP_STEPS} steps); "
+                       "write a negative start as --epsilon-sweep=-0.1:0.1:3")
     p_bch.add_argument("--k-range", dest="k_range", type=int, default=2,
                        help="check coupling variants for |k| up to this (default 2)")
     add_common(p_bch)
@@ -522,7 +525,7 @@ def _resolve_tol(args) -> float:
     if args.tol is not None:
         tol = args.tol
     elif os.environ.get(TOL_ENV_VAR):
-        tol = float(os.environ[TOL_ENV_VAR])
+        tol = _parse_number(TOL_ENV_VAR, os.environ[TOL_ENV_VAR])
     else:
         tol = DEFAULT_EQ_TOL
     if not tol > 0:

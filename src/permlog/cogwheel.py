@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_EQ_TOL, dagger, matrices_equal
+from .linalg import DEFAULT_EQ_TOL, dagger, max_abs_diff
 from .permutation import Permutation
 
 
@@ -80,7 +80,7 @@ def verify_power_identity(n: int, phases=None, tol: float = DEFAULT_EQ_TOL) -> b
     ph = _phase_vector(n, phases)
     u = build_standard_form(n, ph)
     target = np.exp(1j * ph.sum()) * np.eye(n)
-    return matrices_equal(np.linalg.matrix_power(u, n), target, tol)
+    return max_abs_diff(np.linalg.matrix_power(u, n), target) <= tol
 
 
 def cogwheel_energies(n: int, timestep: float = 1.0, phases=None) -> CogwheelSpectrum:

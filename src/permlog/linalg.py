@@ -69,10 +69,6 @@ def max_abs_diff(a, b) -> float:
     return float(np.abs(a - b).max())
 
 
-def matrices_equal(a, b, tol: float = DEFAULT_EQ_TOL) -> bool:
-    return max_abs_diff(a, b) <= tol
-
-
 def expm(a) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a truncated Taylor series.
 
@@ -99,18 +95,6 @@ def expm(a) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
-
-
-def exp_involution(p, theta: float, *, unitarity_tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
-    """Closed form exp(-i*theta*P) = cos(theta)*I - i*sin(theta)*P for an involution P.
-
-    Raises InvolutionViolation unless P squares to the identity within unitarity_tol.
-    """
-    p = as_matrix(p)
-    dev = max_abs_diff(p @ p, identity(p.shape[0]))
-    if dev > unitarity_tol:
-        raise InvolutionViolation(f"matrix squares to identity only within {dev:.3e}")
-    return np.cos(theta) * identity(p.shape[0]) - 1j * np.sin(theta) * p
 
 
 def is_permutation_matrix(a, tol: float = DEFAULT_EQ_TOL) -> bool:

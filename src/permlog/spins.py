@@ -5,8 +5,8 @@ bit; up = 0, down = 1, so the all-up configuration is basis index 0 and the
 all-down configuration is index 2^N - 1. Configuration strings use ``u``/``d``
 read left to right as spins 1..N (``"uudu"`` means spin 3 down, the rest up).
 Operators that permute configurations are returned as exact
-:class:`~permlog.permutation.Permutation` objects; Pauli-built operators are
-dense complex matrices.
+:class:`~permlog.permutation.Permutation` objects and the diagonal number
+operators as their diagonals; Pauli-built operators are dense complex matrices.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_BIT_TO_SPIN = str.maketrans("01", "ud")  # up = 0, down = 1
 
 def _check_spin_count(n_spins: int, minimum: int = 1) -> None:
     if not minimum <= n_spins <= SPIN_CAP:
@@ -59,7 +60,7 @@ class SpinConfiguration:
         return cls(n_spins=len(text), bits=bits)
 
     def __str__(self) -> str:
-        return "".join("d" if self.spin_down(k) else "u" for k in range(1, self.n_spins + 1))
+        return format(self.bits, f"0{self.n_spins}b").translate(_BIT_TO_SPIN)
 
     @property
     def index(self) -> int:
@@ -111,22 +112,16 @@ def exchange_pauli(n_spins: int, i: int, j: int) -> np.ndarray:
     return total / 2.0
 
 
-def _down_counts(n_spins: int) -> np.ndarray:
-    """The number of down spins in each configuration: the diagonal of number_down."""
+def number_down(n_spins: int) -> np.ndarray:
+    """The number of down spins in each configuration: the diagonal of the down-count operator."""
+    _check_spin_count(n_spins)
     x = np.arange(1 << n_spins)
     return sum((x >> s) & 1 for s in range(n_spins))
 
 
 def number_up(n_spins: int) -> np.ndarray:
-    """Diagonal operator counting up spins: (N/2)*I + sum_i sigma_i^z / 2."""
-    _check_spin_count(n_spins)
-    return np.diag(n_spins - _down_counts(n_spins))
-
-
-def number_down(n_spins: int) -> np.ndarray:
-    """Diagonal operator counting down spins; equals N*I - number_up(N)."""
-    _check_spin_count(n_spins)
-    return np.diag(_down_counts(n_spins))
+    """The number of up spins in each configuration: the diagonal of (N/2)*I + sum_i sigma_i^z / 2."""
+    return n_spins - number_down(n_spins)
 
 
 def spinflip(n_spins: int) -> Permutation:

@@ -5,12 +5,42 @@ on cycle blocks and down-count sector blocks, and the tests compare it with the
 dense expressions it stands for.
 """
 
+from functools import reduce
+
 import numpy as np
 from hypothesis import strategies as st
 
+from permlog.bch import _sectors
 from permlog.dynamics import ExchangeWord, _cycle_blocks, _cycles_by_length, polynomial_matrix
-from permlog.linalg import as_matrix, expm, max_abs_diff
-from permlog.spins import _down_counts, exchange_permutation, spinflip
+from permlog.linalg import DEFAULT_UNITARITY_TOL, InvolutionViolation, as_matrix, expm, identity, max_abs_diff
+from permlog.spins import exchange_permutation, number_down, spinflip
+
+
+def exp_involution(p, theta: float, *, unitarity_tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
+    """Closed form exp(-i*theta*P) = cos(theta)*I - i*sin(theta)*P for an involution P.
+
+    Raises InvolutionViolation unless P squares to the identity within unitarity_tol.
+    """
+    p = as_matrix(p)
+    dev = max_abs_diff(p @ p, identity(p.shape[0]))
+    if dev > unitarity_tol:
+        raise InvolutionViolation(f"matrix squares to identity only within {dev:.3e}")
+    return np.cos(theta) * identity(p.shape[0]) - 1j * np.sin(theta) * p
+
+
+def assemble(blocks, n_spins):
+    """The dense 2^N x 2^N matrix with the given down-count sector blocks and zeros elsewhere."""
+    out = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
+    for idx, block in zip(_sectors(n_spins)[0], blocks):
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
+def dense_perturbed_product(word, config):
+    """Product over factors of i * exp(-i*((2k + 1/2)*pi + epsilon_f) * P_f), of dense matrices in word order."""
+    mats = [exchange_permutation(word.n_spins, i, j).matrix() for i, j in word.factors]
+    base = (2 * config.k + 0.5) * np.pi
+    return reduce(np.matmul, [1j * exp_involution(p, base + eps) for p, eps in zip(mats, config.offsets(len(mats)))])
 
 
 def cycle_block_expm(perm, h, scale):
@@ -32,7 +62,7 @@ def cycle_block_expm(perm, h, scale):
 def dense_spin_errors(perm, h, coeffs, t):
     """The five matrix checks of the spin command, each as one dense 2^N x 2^N difference."""
     n = perm.size.bit_length() - 1
-    down = _down_counts(n)
+    down = number_down(n)
     up = n - down
     flip = spinflip(n).map
     return {

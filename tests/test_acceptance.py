@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 
-from permlog.bch import PerturbationConfig, bch_chain, coupling_variant_check, perturb_coupling, superposition_leakage
+from permlog.bch import PerturbationConfig, bch_chain, coupling_variant_check, perturbation_leakage
 from permlog.cogwheel import build_standard_form, cogwheel_hamiltonian, polynomial_coefficients
 from permlog.dynamics import (
     ExchangeWord,
@@ -95,7 +95,7 @@ def test_criterion_05_full_round_trip_and_conservation():
     perm = evolution_permutation(REFERENCE_WORD)
     h = hamiltonian_from_permutation(perm, 1.0).matrix
     round_trip = max_abs_diff(expm(-1j * h), perm.matrix())
-    dev_nu = float(np.abs(commutator(h, number_up(4).astype(complex))).max())
+    dev_nu = float(np.abs(commutator(h, np.diag(number_up(4)).astype(complex))).max())
     dev_c = float(np.abs(commutator(h, spinflip(4).matrix())).max())
     _report(5, f"16x16 round trip ({round_trip:.2e}) and H commutes with N_up/C ({max(dev_nu, dev_c):.2e})",
             round_trip <= 1e-10 and dev_nu <= 1e-12 and dev_c <= 1e-12)
@@ -141,7 +141,7 @@ def test_criterion_08_zero_sum_coefficients():
 
 def test_criterion_09_instability_probe():
     leaks = {
-        eps: superposition_leakage(perturb_coupling(REFERENCE_WORD, PerturbationConfig(epsilon=eps)))
+        eps: perturbation_leakage(REFERENCE_WORD, PerturbationConfig(epsilon=eps))
         for eps in (0.0, 0.005, 0.01, 0.02)
     }
     ordered = [leaks[e] for e in (0.0, 0.005, 0.01, 0.02)]

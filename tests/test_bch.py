@@ -20,12 +20,11 @@ from permlog.bch import (
     bch_chain,
     bch_series_truncated,
     coupling_variant_check,
-    perturb_coupling,
     perturbation_leakage,
     superposition_leakage,
 )
 from permlog.bch import (
-    _assemble,
+    _perturbed_blocks,
     _require_commuting_tail,
     _sector_chain_forms,
     _sectors,
@@ -41,7 +40,6 @@ from permlog.dynamics import (
 from permlog.linalg import (
     InvolutionViolation,
     NonUnitaryError,
-    exp_involution,
     expm,
     identity,
     max_abs_diff,
@@ -49,9 +47,10 @@ from permlog.linalg import (
 from permlog.permutation import Permutation
 from permlog.spins import exchange_permutation
 
-from oracles import cycle_block_expm, dense_times_exp_tail_sum
+from oracles import assemble, cycle_block_expm, dense_perturbed_product, dense_times_exp_tail_sum, exp_involution
 
 CHAIN_TOL = 1e-10
+CLOSED_FORM_TOL = 1e-12
 DENSE_ORACLE_TOL = 1e-13  # structured vs dense evaluation of the same exact forms
 
 
@@ -79,10 +78,35 @@ def test_chain_forms_agree_pairwise(reference_word):
     assert 2 * result.max_deviation < CHAIN_TOL
 
 
-def test_single_exchange_exponentiates_in_closed_form():
-    for n, i, j in [(2, 1, 2), (3, 2, 3), (4, 1, 4)]:
-        p = exchange_permutation(n, i, j).matrix()
-        assert max_abs_diff(1j * exp_involution(p, np.pi / 2), p) <= 1e-15
+INVOLUTIONS = [
+    exchange_permutation(2, 1, 2),
+    exchange_permutation(3, 2, 3),
+    exchange_permutation(4, 1, 4),
+    exchange_permutation(4, 1, 2) * exchange_permutation(4, 3, 4),
+    Permutation((1, 0)),
+    Permutation((2, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("p", INVOLUTIONS)
+@pytest.mark.parametrize(
+    "theta, phase, expected, tol",
+    [
+        (0.0, 1, lambda p: identity(p.size), 0.0),
+        (np.pi, 1, lambda p: -identity(p.size), 1e-15),
+        (np.pi / 2, 1j, Permutation.matrix, 1e-15),  # i * exp(-i*(pi/2)*P) = P
+    ],
+    ids=["zero", "pi", "quarter_turn"],
+)
+def test_exp_involution_closed_form_angles(p, theta, phase, expected, tol):
+    assert max_abs_diff(phase * _times_exp_involution(identity(p.size), p, theta), expected(p)) <= tol
+
+
+@pytest.mark.parametrize("p", INVOLUTIONS)
+@pytest.mark.parametrize("theta", [0.1, np.pi / 4, np.pi / 2, 1.3])
+def test_exp_involution_agrees_with_series(p, theta):
+    series = expm(-1j * theta * p.matrix())
+    assert max_abs_diff(_times_exp_involution(identity(p.size), p, theta), series) <= CLOSED_FORM_TOL
 
 
 def test_merged_sum_equals_merged_product(reference_word):
@@ -236,7 +260,7 @@ def test_leakage_invariances(left_index, right_index, phase):
     import itertools as it
 
     perms = [np.eye(4)[list(p)] for p in it.permutations(range(4))]
-    base = perturb_coupling(parse_word("P12", 2), PerturbationConfig(epsilon=0.17))
+    base = perturbed_product(parse_word("P12", 2), PerturbationConfig(epsilon=0.17))
     reference = superposition_leakage(base)
     transported = np.exp(1j * phase) * (perms[left_index] @ base @ perms[right_index])
     assert superposition_leakage(transported) == pytest.approx(reference, abs=1e-12)
@@ -245,11 +269,16 @@ def test_leakage_invariances(left_index, right_index, phase):
 # --- coupling perturbation -------------------------------------------------------------
 
 
+def perturbed_product(word, config=PerturbationConfig()):
+    """The perturbed product perturbation_leakage checks, assembled dense from its sector blocks."""
+    return assemble(_perturbed_blocks(word, config), word.n_spins)
+
+
 def test_zero_perturbation_reproduces_word(reference_word):
     from permlog.dynamics import evolution_permutation
 
     u = evolution_permutation(reference_word).matrix()
-    perturbed = perturb_coupling(reference_word, PerturbationConfig(epsilon=0.0))
+    perturbed = perturbed_product(reference_word, PerturbationConfig(epsilon=0.0))
     assert max_abs_diff(perturbed, u) <= 1e-12
     assert superposition_leakage(perturbed) <= 1e-12
 
@@ -259,19 +288,17 @@ def test_zero_perturbation_reproduces_word(reference_word):
 )
 def test_zero_perturbation_leakage_vanishes_for_many_words(text, n):
     word = parse_word(text, n)
-    assert superposition_leakage(perturb_coupling(word)) <= 1e-12
+    assert perturbation_leakage(word) <= 1e-12
 
 
 def test_small_perturbation_leaks(reference_word):
-    leak = superposition_leakage(
-        perturb_coupling(reference_word, PerturbationConfig(epsilon=0.01))
-    )
+    leak = perturbation_leakage(reference_word, PerturbationConfig(epsilon=0.01))
     assert leak > 1e-6
 
 
 def test_leakage_grows_with_perturbation(reference_word):
     leaks = [
-        superposition_leakage(perturb_coupling(reference_word, PerturbationConfig(epsilon=e)))
+        perturbation_leakage(reference_word, PerturbationConfig(epsilon=e))
         for e in (0.0, 0.005, 0.01, 0.02)
     ]
     assert all(a <= b for a, b in zip(leaks, leaks[1:]))
@@ -279,7 +306,7 @@ def test_leakage_grows_with_perturbation(reference_word):
 
 def test_half_turn_offset_gives_phased_identity():
     word = parse_word("P12", 2)
-    out = perturb_coupling(word, PerturbationConfig(epsilon=np.pi / 2))
+    out = perturbed_product(word, PerturbationConfig(epsilon=np.pi / 2))
     assert max_abs_diff(out, -1j * np.eye(4)) <= 1e-12
     assert superposition_leakage(out) <= 1e-12
 
@@ -289,16 +316,16 @@ def test_per_factor_offsets(reference_word):
     from permlog.dynamics import evolution_permutation
 
     u = evolution_permutation(reference_word).matrix()
-    assert max_abs_diff(perturb_coupling(reference_word, cfg), u) <= 1e-12
+    assert max_abs_diff(perturbed_product(reference_word, cfg), u) <= 1e-12
     with pytest.raises(ValueError):
-        perturb_coupling(reference_word, PerturbationConfig(epsilon=(0.1, 0.2)))
+        perturbation_leakage(reference_word, PerturbationConfig(epsilon=(0.1, 0.2)))
 
 
 def test_shifted_coupling_family_still_exact(reference_word):
     from permlog.dynamics import evolution_permutation
 
     u = evolution_permutation(reference_word).matrix()
-    out = perturb_coupling(reference_word, PerturbationConfig(epsilon=0.0, k=1))
+    out = perturbed_product(reference_word, PerturbationConfig(epsilon=0.0, k=1))
     assert max_abs_diff(out, u) <= 1e-12
 
 
@@ -325,7 +352,7 @@ def random_commuting_tail_word(seed, tail, n=None):
 def assembled_chain_forms(word, theta):
     """The library's three factored forms at coupling theta, assembled dense from their sector blocks."""
     sectors = [forms for _, forms in _sector_chain_forms(word, theta)]
-    return {label: _assemble([forms[label] for forms in sectors], word.n_spins) for label in sectors[0]}
+    return {label: assemble([forms[label] for forms in sectors], word.n_spins) for label in sectors[0]}
 
 
 def dense_hamiltonian_form(perm, timestep):
@@ -465,16 +492,11 @@ def test_tail_sum_blocks_match_dense_contraction(n, tail, theta):
         assert max_abs_diff(block, dense[np.ix_(idx, idx)]) <= 1e-15
 
 
-def test_chain_and_coupling_check_build_no_dense_matrix(monkeypatch):
+def test_chain_and_coupling_check_build_no_dense_matrix():
     # a dense 2^10 x 2^10 complex matrix takes 16.5 of the largest sector's blocks; each sector
     # is compared or checked as it is formed, so the peak stays within a few such blocks
     word = ExchangeWord(n_spins=10, factors=tuple((i, i + 1) for i in range(1, 10)) + ((1, 2), (3, 4)))
     largest_block = 16 * math.comb(10, 5) ** 2
-
-    def refuse(*args):
-        raise AssertionError("a dense matrix was assembled")
-
-    monkeypatch.setattr(permlog.bch, "_assemble", refuse)
     checks = (
         (lambda: bch_chain(word).max_deviation < CHAIN_TOL, 10),
         (lambda: coupling_variant_check(word, 1, "plus_three_half"), 10),
@@ -490,19 +512,10 @@ def test_chain_and_coupling_check_build_no_dense_matrix(monkeypatch):
         assert peak < blocks * largest_block
 
 
-def dense_perturbed_product(word, config):
-    mats = [exchange_permutation(word.n_spins, i, j).matrix() for i, j in word.factors]
-    base = (2 * config.k + 0.5) * np.pi
-    out = identity(mats[0].shape[0])
-    for p, eps in zip(mats, config.offsets(len(mats))):
-        out = out @ (1j * exp_involution(p, base + eps))
-    return out
-
-
 @pytest.mark.parametrize("tail", ["disjoint", "repeated"])
 @pytest.mark.parametrize("k", [-2, 0, 1])
 @pytest.mark.parametrize("seed", range(3))
-def test_perturb_coupling_matches_dense_oracle(seed, k, tail):
+def test_perturbed_blocks_match_dense_oracle(seed, k, tail):
     word = random_commuting_tail_word(200 + seed, tail)
     rng = np.random.default_rng(seed)
     per_factor = tuple(rng.uniform(-0.1, 0.1, len(word.factors)))
@@ -510,7 +523,7 @@ def test_perturb_coupling_matches_dense_oracle(seed, k, tail):
         config = PerturbationConfig(epsilon=epsilon, k=k)
         dense = dense_perturbed_product(word, config)
         assert off_sector_max(dense) == 0.0
-        assert max_abs_diff(perturb_coupling(word, config), dense) <= DENSE_ORACLE_TOL, epsilon
+        assert max_abs_diff(perturbed_product(word, config), dense) <= DENSE_ORACLE_TOL, epsilon
 
 
 @pytest.mark.parametrize("tail", ["disjoint", "repeated"])
@@ -522,7 +535,7 @@ def test_perturbation_leakage_equals_dense_leakage(n, k, tail):
     per_factor = tuple(rng.uniform(-0.1, 0.1, len(word.factors)))
     for epsilon in (0.0, 0.013, -0.3, per_factor):
         config = PerturbationConfig(epsilon=epsilon, k=k)
-        assert perturbation_leakage(word, config) == superposition_leakage(perturb_coupling(word, config))
+        assert perturbation_leakage(word, config) == superposition_leakage(perturbed_product(word, config))
 
 
 def test_one_spoiled_sector_shows_in_every_result(monkeypatch):
@@ -547,7 +560,8 @@ def test_one_spoiled_sector_shows_in_every_result(monkeypatch):
     assert result.deviations()[FORM_FACTORED] > 1e-3
 
 
-def test_exponential_of_a_non_involution_is_refused():
-    three_cycle = Permutation((1, 2, 0))
+@pytest.mark.parametrize("p", [Permutation((1, 2, 0)), Permutation((1, 2, 3, 0))])
+def test_exponential_of_a_non_involution_is_refused(p):
+    # the four-cycle squares to an involution, not to the identity
     with pytest.raises(InvolutionViolation):
-        _times_exp_involution(identity(3), three_cycle, 0.5)
+        _times_exp_involution(identity(p.size), p, 0.5)

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import subprocess
 import sys
@@ -249,16 +250,23 @@ def test_cogwheel_with_phases_skips_hamiltonian(capsys):
     assert "power_identity" in names
 
 
-def test_cogwheel_size_cap_is_usage_error(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n", str(COGWHEEL_CAP + 1)], f"--n must be at most {COGWHEEL_CAP}"),
+        (["--n", "3", "--phases", "1,2,"], "each --phases value must be a number, got ''"),
+    ],
+)
+def test_cogwheel_usage_error_builds_no_operator(args, message, capsys, monkeypatch):
     def refuse(*args):
-        raise AssertionError("built an operator past the cap")
+        raise AssertionError("built an operator from rejected input")
 
     monkeypatch.setattr(permlog.cli, "build_standard_form", refuse)
-    code = main(["cogwheel", "--n", str(COGWHEEL_CAP + 1), "--format", "json"])
+    code = main(["cogwheel", *args, "--format", "json"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: --n must be at most {COGWHEEL_CAP}\n"
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cogwheel_csv_energies(capsys):
@@ -316,7 +324,7 @@ COMMUTATION_CHECKS = ("commutes_number_up", "commutes_number_down", "commutes_sp
 
 def dense_commutation_errors(h, n):
     """The dense products the spin command's commutation checks stand for."""
-    ops = (number_up(n).astype(complex), number_down(n).astype(complex), spinflip(n).matrix())
+    ops = (np.diag(number_up(n)).astype(complex), np.diag(number_down(n)).astype(complex), spinflip(n).matrix())
     return {name: max_abs_diff(h @ op, op @ h) for name, op in zip(COMMUTATION_CHECKS, ops)}
 
 
@@ -466,20 +474,23 @@ def test_bch_zero_epsilon(capsys):
     assert "zero_coupling_leakage" in names
 
 
-def test_bch_sweep_csv_monotone(capsys):
-    code, out = run_cli(
-        [
-            "bch", "--n", "4", "--word", "P23 P12 P34",
-            "--epsilon-sweep", "0:0.05:6", "--format", "csv",
-        ],
-        capsys,
-    )
+@pytest.mark.parametrize(
+    "sweep, steps",
+    [
+        (["--epsilon-sweep", "0:0.05:6"], (0, 0.05, 6)),
+        (["--epsilon-sweep=-0.1:0.1:3"], (-0.1, 0.1, 3)),  # the spelling a negative start needs
+    ],
+)
+def test_bch_sweep_csv_monotone(sweep, steps, capsys):
+    code, out = run_cli(["bch", "--n", "4", "--word", "P23 P12 P34", *sweep, "--format", "csv"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "epsilon,leakage"
-    assert len(lines) == 7
-    leaks = [float(line.split(",")[1]) for line in lines[1:]]
-    assert all(a <= b for a, b in zip(leaks, leaks[1:]))
+    assert len(lines) == steps[2] + 1
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert [eps for eps, _ in rows] == list(np.linspace(*steps))
+    # the leakage grows with the size of the offset
+    assert all(a <= b for (x, a), (y, b) in itertools.combinations(rows, 2) if abs(x) < abs(y))
 
 
 def test_bch_noncommuting_tail_reports_failure(capsys):
@@ -623,6 +634,7 @@ COMMAND_ARGS = {
 NON_FINITE_INPUTS = {  # environment, arguments, the one stderr line
     "tol": ({}, ["--tol", "inf"], "error: tolerance must be finite"),
     "env": ({"PERMLOG_TOL": "inf"}, [], "error: tolerance must be finite"),
+    "env_text": ({"PERMLOG_TOL": "abc"}, [], "error: PERMLOG_TOL must be a number, got 'abc'"),
     "t": ({}, ["--t", "inf"], "error: --t must be finite"),
 }
 

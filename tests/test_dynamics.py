@@ -193,7 +193,7 @@ def test_hamiltonian_round_trip_and_conservation(reference_perm):
     h = report.matrix
     assert max_abs_diff(h, dagger(h)) <= 1e-12
     assert max_abs_diff(expm(-1j * h), reference_perm.matrix()) <= ROUND_TRIP_TOL
-    for symmetry in (number_up(4).astype(complex), number_down(4).astype(complex), spinflip(4).matrix()):
+    for symmetry in (np.diag(number_up(4)).astype(complex), np.diag(number_down(4)).astype(complex), spinflip(4).matrix()):
         assert np.abs(commutator(h, symmetry)).max() <= 1e-12
 
 

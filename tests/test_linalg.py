@@ -7,14 +7,11 @@ from hypothesis.extra.numpy import arrays
 
 from permlog.linalg import (
     DimensionMismatch,
-    InvolutionViolation,
     commutator,
     dagger,
-    exp_involution,
     expm,
     identity,
     is_permutation_matrix,
-    matrices_equal,
     max_abs_diff,
 )
 from permlog.cogwheel import build_standard_form
@@ -45,17 +42,6 @@ def matrix_pairs(draw, max_dim=4):
     a = draw(arrays(np.complex128, (n, n), elements=elems))
     b = draw(arrays(np.complex128, (n, n), elements=elems))
     return a, b
-
-
-def involution_examples():
-    swap2 = np.array([[0, 1], [1, 0]], dtype=complex)
-    reflect = np.diag([1.0, -1.0, 1.0]).astype(complex)
-    p12 = exchange_permutation(2, 1, 2).matrix()
-    p23 = exchange_permutation(3, 2, 3).matrix()
-    v = np.array([1.0, 2.0, -1.0])
-    v = v / np.linalg.norm(v)
-    householder = np.eye(3) - 2.0 * np.outer(v, v)
-    return [swap2, reflect, p12, p23, householder.astype(complex)]
 
 
 def test_multiply_dimension_mismatch():
@@ -156,39 +142,6 @@ def test_expm_closed_form_for_involutions():
     assert max_abs_diff(expm(-0.7j * p), expected) <= CLOSED_FORM_TOL
 
 
-# --- exp_involution ---------------------------------------------------------
-
-
-def test_exp_involution_theta_zero():
-    p = involution_examples()[0]
-    assert max_abs_diff(exp_involution(p, 0.0), identity(2)) == 0.0
-
-
-def test_exp_involution_theta_pi():
-    p = involution_examples()[2]
-    assert max_abs_diff(exp_involution(p, np.pi), -identity(4)) <= 1e-15
-
-
-def test_exp_involution_quarter_turn_recovers_operator():
-    # i * exp(-i*(pi/2)*P) = P
-    for p in involution_examples():
-        recovered = 1j * exp_involution(p, np.pi / 2)
-        assert max_abs_diff(recovered, p) <= 1e-15
-
-
-@pytest.mark.parametrize("theta", [0.1, np.pi / 4, np.pi / 2, 1.3])
-def test_exp_involution_agrees_with_series(theta):
-    for p in involution_examples():
-        closed = exp_involution(p, theta)
-        series = expm(-1j * theta * p)
-        assert max_abs_diff(closed, series) <= CLOSED_FORM_TOL
-
-
-def test_exp_involution_rejects_non_involutions():
-    with pytest.raises(InvolutionViolation):
-        exp_involution(2.0 * identity(3), 0.5)
-
-
 # --- is_permutation_matrix ---------------------------------------------------
 
 
@@ -201,10 +154,3 @@ def test_permutation_matrix_detection():
     assert not is_permutation_matrix(hadamard, EQ_TOL)
     assert not is_permutation_matrix(0.5 * identity(2), EQ_TOL)
     assert not is_permutation_matrix(np.zeros((2, 2)), EQ_TOL)
-
-
-def test_matrices_equal_uses_absolute_tolerance():
-    a = identity(2)
-    b = identity(2) + 5e-11
-    assert matrices_equal(a, b, 1e-10)
-    assert not matrices_equal(a, b, 1e-12)
