@@ -12,13 +12,11 @@ from .bch import (
     PerturbationConfig,
     PreconditionViolation,
     bch_chain,
-    bch_series_truncated,
     coupling_variant_check,
     perturbation_leakage,
     superposition_leakage,
 )
 from .cogwheel import (
-    CogwheelSpectrum,
     build_standard_form,
     cogwheel_energies,
     cogwheel_hamiltonian,
@@ -49,7 +47,6 @@ from .linalg import (
     DimensionMismatch,
     InvolutionViolation,
     NonUnitaryError,
-    commutator,
     dagger,
     expm,
     is_permutation_matrix,
@@ -74,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BchChainResult",
     "BlockHamiltonianReport",
-    "CogwheelSpectrum",
     "DEFAULT_EQ_TOL",
     "DEFAULT_UNITARITY_TOL",
     "DimensionMismatch",
@@ -92,11 +88,9 @@ __all__ = [
     "UntouchedSpinWarning",
     "WordParseError",
     "bch_chain",
-    "bch_series_truncated",
     "build_standard_form",
     "cogwheel_energies",
     "cogwheel_hamiltonian",
-    "commutator",
     "coupling_variant_check",
     "dagger",
     "diagonalizer",

@@ -4,9 +4,7 @@ Every exchange P is an involution, so P = i * exp(-i*(pi/2)*P) exactly, and a
 word of m factors equals i^m times a product of exponentials. When the last
 two factors commute they can be merged into a single exponential of their sum
 or of their product, and the whole word equals the single exponential of the
-assembled Hamiltonian: four closed forms, no infinite commutator series. For
-contrast, :func:`bch_series_truncated` evaluates the generic commutator series
-through fourth order, which does not terminate for noncommuting exchanges.
+assembled Hamiltonian: four closed forms, no infinite commutator series.
 
 Each form is evaluated from the structure of its factors rather than as a
 dense 2^N x 2^N product. An exchange never changes how many spins are down, so
@@ -40,11 +38,11 @@ from .dynamics import (
     uniform_polynomial_form,
 )
 from .linalg import (
+    DEFAULT_EQ_TOL,
     DEFAULT_UNITARITY_TOL,
     InvolutionViolation,
     NonUnitaryError,
     as_matrix,
-    commutator,
     dagger,
     expm,
     identity,
@@ -242,7 +240,7 @@ def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> BchChainResult:
     return BchChainResult(form_deviations=tuple(deviations.items()))
 
 
-def coupling_variant_check(word: ExchangeWord, k: int, family: str, tol: float = 1e-10) -> bool:
+def coupling_variant_check(word: ExchangeWord, k: int, family: str, tol: float = DEFAULT_EQ_TOL) -> bool:
     """Check the factored forms at coupling (2k + 1/2)*pi or (2k + 3/2)*pi.
 
     The first family reproduces the permutation product as-is. The second
@@ -260,36 +258,17 @@ def coupling_variant_check(word: ExchangeWord, k: int, family: str, tol: float =
     return all(dev <= tol for dev in _form_deviations(word, theta, signs).values())
 
 
-def bch_series_truncated(x, y, order: int) -> np.ndarray:
-    """Generic combination-of-commutators series for log(exp(X)exp(Y)), truncated.
-
-    Orders: 1 gives X+Y; 2 adds [X,Y]/2; 3 adds ([X,[X,Y]] + [Y,[Y,X]])/12;
-    4 adds -[Y,[X,[X,Y]]]/24. Only orders 1..4 are supported.
-    """
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"order must be in 1..4, got {order}")
-    x, y = as_matrix(x), as_matrix(y)
-    z = x + y
-    if order >= 2:
-        xy = commutator(x, y)
-        z = z + 0.5 * xy
-    if order >= 3:
-        z = z + (commutator(x, xy) + commutator(y, commutator(y, x))) / 12.0
-    if order >= 4:
-        z = z - commutator(y, commutator(x, xy)) / 24.0
-    return z
-
-
-def superposition_leakage(m, unitarity_tol: float = DEFAULT_UNITARITY_TOL) -> float:
+def superposition_leakage(m) -> float:
     """How far a unitary is from a phased permutation, in [0, 1].
 
     The worst column's missing weight: max over columns j of
     1 - max over rows i of |M_ij|^2. Zero exactly on phased permutation
-    matrices; 1/2 on an equal-weight two-state mixer.
+    matrices; 1/2 on an equal-weight two-state mixer. Raises NonUnitaryError
+    unless M is unitary within DEFAULT_UNITARITY_TOL.
     """
     m = as_matrix(m)
     dev = max_abs_diff(m @ dagger(m), identity(m.shape[0]))
-    if dev > unitarity_tol:
+    if dev > DEFAULT_UNITARITY_TOL:
         raise NonUnitaryError(f"matrix is unitary only within {dev:.3e}")
     column_peaks = (np.abs(m) ** 2).max(axis=0)
     return float(min(1.0, max(0.0, (1.0 - column_peaks).max())))

@@ -6,9 +6,10 @@ carry fixed field order and fixed float formatting (17 significant digits), so
 identical invocations produce byte-identical output. Complex numbers serialize
 as [re, im] pairs and matrices as row-major nested arrays; float and complex
 arrays are formatted a row at a time into one output buffer. CSV export exists
-only for flat data (energy levels and perturbation sweeps). Exit codes: 0 all verifications passed, 1 some verification failed,
-2 usage error or out of memory. The PERMLOG_TOL environment variable overrides the default
-equality tolerance; --tol overrides both.
+only for flat data (energy levels and perturbation sweeps). Exit codes: 0 all
+verifications passed, 1 some verification failed, 2 usage error or out of memory,
+3 internal error (any other exception in a command). The PERMLOG_TOL environment
+variable overrides the default equality tolerance; --tol overrides both.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .cogwheel import (
     verify_power_identity,
 )
 from .dynamics import (
-    WordParseError,
     _cycle_blocks,
     _cycles_by_length,
     evolution_permutation,
@@ -62,7 +62,9 @@ from .spins import SPIN_CAP, SpinConfiguration, four_spin_state_label, number_do
 SCHEMA_VERSION = 1
 TOL_ENV_VAR = "PERMLOG_TOL"
 MAX_SWEEP_STEPS = 1000  # each sweep step or coupling check builds and checks the sector blocks of one unitary
-COGWHEEL_CAP = 1 << SPIN_CAP  # cogwheel builds dense n x n matrices; same bound as the spin commands
+# cogwheel builds dense n x n matrices and checks them in O(n^3). The cap is 2^SPIN_CAP and was not
+# measured; spin never builds a cogwheel longer than order(sigma) <= 60.
+COGWHEEL_CAP = 1 << SPIN_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +298,18 @@ def _cmd_cogwheel(args, tol: float) -> dict:
     zero_phases = phases is None or all(p == 0.0 for p in phases)
 
     u = build_standard_form(n, phases)
-    levels = cogwheel_energies(n, t, phases)
+    energies = cogwheel_energies(n, t, phases)
     verifications = [
         _check("standard_form_unitary", max_abs_diff(u @ dagger(u), np.eye(n)), DEFAULT_UNITARITY_TOL),
         _check_bool("standard_form_is_permutation", is_permutation_matrix(u, tol)),
         _check_bool("power_identity", verify_power_identity(n, phases, tol)),
     ]
-    results = {"standard_form": u, "energies": levels.energies}
+    results = {"standard_form": u, "energies": energies}
     if zero_phases:
         d = diagonalizer(n)
         h = cogwheel_hamiltonian(n, t)
         coeffs = polynomial_coefficients(n, t)
-        lam = np.diag(np.exp(-1j * levels.energies * t))
+        lam = np.diag(np.exp(-1j * energies * t))
         reconstructed = polynomial_matrix(shift_permutation(n), coeffs)
         results["diagonalizer"] = d
         results["hamiltonian"] = h
@@ -501,12 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cog)
 
     p_spin = sub.add_parser("spin", help="exchange-word dynamics on N spins")
-    p_spin.add_argument("--n", type=int, required=True, help="number of spins (2..12)")
+    p_spin.add_argument("--n", type=int, required=True, help=f"number of spins (2..{SPIN_CAP})")
     p_spin.add_argument("--word", required=True, help='e.g. "P23 P12 P34"')
     add_common(p_spin)
 
     p_bch = sub.add_parser("bch", help="closed exponential forms and perturbation probe")
-    p_bch.add_argument("--n", type=int, required=True, help="number of spins (2..12)")
+    p_bch.add_argument("--n", type=int, required=True, help=f"number of spins (2..{SPIN_CAP})")
     p_bch.add_argument("--word", required=True, help='e.g. "P23 P12 P34"')
     p_bch.add_argument("--epsilon", type=float, default=None, help="single coupling offset")
     p_bch.add_argument("--epsilon-sweep", dest="epsilon_sweep", default=None,
@@ -562,12 +564,15 @@ def main(argv=None) -> int:
             rendered = _render_csv(payload)
         else:
             rendered = _render_pretty(payload)
-    except (WordParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -15,21 +15,10 @@ branch: expm(-i*H*T) reproduces the zero-phase shift exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import DEFAULT_EQ_TOL, dagger, max_abs_diff
 from .permutation import Permutation
-
-
-@dataclass(frozen=True, eq=False)
-class CogwheelSpectrum:
-    """Energy levels of an N-state cogwheel with time step T."""
-
-    size: int
-    timestep: float
-    energies: np.ndarray
 
 
 def _phase_vector(n: int, phases) -> np.ndarray:
@@ -83,13 +72,12 @@ def verify_power_identity(n: int, phases=None, tol: float = DEFAULT_EQ_TOL) -> b
     return max_abs_diff(np.linalg.matrix_power(u, n), target) <= tol
 
 
-def cogwheel_energies(n: int, timestep: float = 1.0, phases=None) -> CogwheelSpectrum:
+def cogwheel_energies(n: int, timestep: float = 1.0, phases=None) -> np.ndarray:
     """E_n = (2*pi*n - sum(phases)) / (N*T) for n = 0..N-1; ascending for zero phases."""
     _check_size(n)
     _check_timestep(timestep)
     ph = _phase_vector(n, phases)
-    energies = (2.0 * np.pi * np.arange(n) - ph.sum()) / (n * timestep)
-    return CogwheelSpectrum(size=n, timestep=timestep, energies=energies)
+    return (2.0 * np.pi * np.arange(n) - ph.sum()) / (n * timestep)
 
 
 def eigenphases(n: int) -> np.ndarray:
@@ -128,8 +116,7 @@ def cogwheel_hamiltonian(n: int, timestep: float = 1.0) -> np.ndarray:
     """
     _check_timestep(timestep)
     d = diagonalizer(n)
-    energies = cogwheel_energies(n, timestep).energies
-    h = (d * energies) @ dagger(d)
+    h = (d * cogwheel_energies(n, timestep)) @ dagger(d)
     return 0.5 * (h + dagger(h))  # exact self-adjointness; removes rounding asymmetry
 
 
@@ -139,5 +126,4 @@ def polynomial_coefficients(n: int, timestep: float = 1.0) -> np.ndarray:
     They are the inverse discrete Fourier transform of the energy vector,
     h_k = (1/N) * sum_n E_n e^{i*E_n*T*k}, and they sum to zero.
     """
-    energies = cogwheel_energies(n, timestep).energies
-    return np.fft.ifft(energies)
+    return np.fft.ifft(cogwheel_energies(n, timestep))

@@ -159,7 +159,6 @@ class BlockHamiltonianReport:
 
     matrix: np.ndarray
     per_length: dict[int, np.ndarray]
-    timestep: float
 
 
 def hamiltonian_from_permutation(perm: Permutation, timestep: float = 1.0) -> BlockHamiltonianReport:
@@ -176,7 +175,7 @@ def hamiltonian_from_permutation(perm: Permutation, timestep: float = 1.0) -> Bl
     for length, rows in _cycles_by_length(perm).items():
         per_length[length] = cogwheel_hamiltonian(length, timestep)
         h[rows[:, :, None], rows[:, None, :]] = per_length[length]
-    return BlockHamiltonianReport(matrix=h, per_length=per_length, timestep=timestep)
+    return BlockHamiltonianReport(matrix=h, per_length=per_length)
 
 
 def polynomial_matrix(perm: Permutation, coefficients) -> np.ndarray:

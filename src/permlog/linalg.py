@@ -1,4 +1,4 @@
-"""Dense complex matrix arithmetic: adjoints, commutators, exponentials.
+"""Dense complex matrix arithmetic: adjoints, entrywise differences, exponentials.
 
 All routines are pure functions over plain numpy arrays; nothing here calls an
 eigensolver. The exponential is scaling-and-squaring on a truncated series,
@@ -44,28 +44,16 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def _common_dim(a: np.ndarray, b: np.ndarray) -> int:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a.shape[0]
-
-
 def dagger(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T
 
 
-def commutator(a, b) -> np.ndarray:
-    """AB - BA."""
-    a, b = as_matrix(a), as_matrix(b)
-    _common_dim(a, b)
-    return a @ b - b @ a
-
-
 def max_abs_diff(a, b) -> float:
     """Largest entrywise absolute difference."""
     a, b = as_matrix(a), as_matrix(b)
-    _common_dim(a, b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return float(np.abs(a - b).max())
 
 

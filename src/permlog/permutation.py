@@ -102,8 +102,8 @@ class Permutation:
         """Smallest k >= 1 with self**k equal to the identity (lcm of cycle lengths)."""
         return math.lcm(*self.cycle_lengths())
 
-    def matrix(self, dtype=complex) -> np.ndarray:
-        """The matrix sending basis vector m to basis vector map[m] (one 1 per column)."""
-        m = np.zeros((self.size, self.size), dtype=dtype)
+    def matrix(self) -> np.ndarray:
+        """The complex matrix sending basis vector m to basis vector map[m] (one 1 per column)."""
+        m = np.zeros((self.size, self.size), dtype=complex)
         m[self.map, np.arange(self.size)] = 1
         return m

@@ -67,25 +67,6 @@ class SpinConfiguration:
         """Position of this configuration in the lexicographic basis."""
         return self.bits
 
-    def spin_down(self, k: int) -> bool:
-        return bool((self.bits >> (self.n_spins - k)) & 1)
-
-    def spin_value(self, k: int) -> int:
-        """+1 for up, -1 for down."""
-        return -1 if self.spin_down(k) else 1
-
-    @property
-    def up_count(self) -> int:
-        return self.n_spins - self.down_count
-
-    @property
-    def down_count(self) -> int:
-        return bin(self.bits).count("1")
-
-    def flipped(self) -> "SpinConfiguration":
-        """Every spin reversed."""
-        return SpinConfiguration(self.n_spins, self.bits ^ ((1 << self.n_spins) - 1))
-
 
 def exchange_permutation(n_spins: int, i: int, j: int) -> Permutation:
     """The involution swapping the states of spins i and j in every configuration."""

@@ -2,7 +2,9 @@
 
 The references assemble full 2^N x 2^N matrices on purpose: the library works
 on cycle blocks and down-count sector blocks, and the tests compare it with the
-dense expressions it stands for.
+dense expressions it stands for. The generic commutator series lives here too:
+that it does not terminate for noncommuting exchanges is the contrast with the
+library's closed forms.
 """
 
 from functools import reduce
@@ -12,8 +14,37 @@ from hypothesis import strategies as st
 
 from permlog.bch import _sectors
 from permlog.dynamics import ExchangeWord, _cycle_blocks, _cycles_by_length, polynomial_matrix
-from permlog.linalg import DEFAULT_UNITARITY_TOL, InvolutionViolation, as_matrix, expm, identity, max_abs_diff
+from permlog.linalg import (DEFAULT_UNITARITY_TOL, DimensionMismatch, InvolutionViolation, as_matrix, expm,
+                            identity, max_abs_diff)
 from permlog.spins import exchange_permutation, number_down, spinflip
+
+
+def commutator(a, b) -> np.ndarray:
+    """AB - BA, for square matrices of one dimension."""
+    a, b = as_matrix(a), as_matrix(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    return a @ b - b @ a
+
+
+def bch_series_truncated(x, y, order: int) -> np.ndarray:
+    """Generic combination-of-commutators series for log(exp(X)exp(Y)), truncated.
+
+    Orders: 1 gives X+Y; 2 adds [X,Y]/2; 3 adds ([X,[X,Y]] + [Y,[Y,X]])/12;
+    4 adds -[Y,[X,[X,Y]]]/24. Only orders 1..4 are supported.
+    """
+    if order not in (1, 2, 3, 4):
+        raise ValueError(f"order must be in 1..4, got {order}")
+    x, y = as_matrix(x), as_matrix(y)
+    z = x + y
+    if order >= 2:
+        xy = commutator(x, y)
+        z = z + 0.5 * xy
+    if order >= 3:
+        z = z + (commutator(x, xy) + commutator(y, commutator(y, x))) / 12.0
+    if order >= 4:
+        z = z - commutator(y, commutator(x, xy)) / 24.0
+    return z
 
 
 def exp_involution(p, theta: float, *, unitarity_tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:

@@ -20,7 +20,7 @@ from permlog.dynamics import (
     spectrum,
     uniform_polynomial_form,
 )
-from permlog.linalg import commutator, dagger, expm, max_abs_diff
+from permlog.linalg import dagger, expm, max_abs_diff
 from permlog.spins import (
     SpinConfiguration,
     exchange_pauli,
@@ -29,6 +29,8 @@ from permlog.spins import (
     number_up,
     spinflip,
 )
+
+from oracles import commutator
 
 C4 = (-1 + 1j) / 3
 D4 = -1.0 / 3.0

@@ -18,7 +18,6 @@ from permlog.bch import (
     PerturbationConfig,
     PreconditionViolation,
     bch_chain,
-    bch_series_truncated,
     coupling_variant_check,
     perturbation_leakage,
     superposition_leakage,
@@ -47,7 +46,14 @@ from permlog.linalg import (
 from permlog.permutation import Permutation
 from permlog.spins import exchange_permutation
 
-from oracles import assemble, cycle_block_expm, dense_perturbed_product, dense_times_exp_tail_sum, exp_involution
+from oracles import (
+    assemble,
+    bch_series_truncated,
+    cycle_block_expm,
+    dense_perturbed_product,
+    dense_times_exp_tail_sum,
+    exp_involution,
+)
 
 CHAIN_TOL = 1e-10
 CLOSED_FORM_TOL = 1e-12

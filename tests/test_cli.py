@@ -357,7 +357,7 @@ def test_spin_commutation_errors_equal_dense_products_off_symmetry(n, capsys, mo
         h[np.ix_(cycle, cycle)] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     monkeypatch.setattr(
         permlog.cli, "hamiltonian_from_permutation",
-        lambda perm, t: BlockHamiltonianReport(matrix=h, per_length={}, timestep=t),
+        lambda perm, t: BlockHamiltonianReport(matrix=h, per_length={}),
     )
     args = ["spin", "--n", str(n), "--word", word, "--format", "json"]
     code, out = run_cli(args, capsys)
@@ -699,16 +699,25 @@ def test_unwritable_output_is_a_usage_error(where, reason, tmp_path, capsys):
     assert captured.err == f"error: cannot write {target}: {reason}\n"
 
 
-def test_memory_error_in_a_command_is_a_usage_error(capsys, monkeypatch):
-    def exhaust(args, tol):
-        raise MemoryError("Unable to allocate 4.00 GiB for an array")
+@pytest.mark.parametrize(
+    "exc, exit_code, err",
+    [
+        (MemoryError("Unable to allocate 4.00 GiB for an array"), 2,
+         "error: out of memory: Unable to allocate 4.00 GiB for an array\n"),
+        (KeyError("energies"), 3, "error: internal error: KeyError: 'energies'\n"),
+    ],
+    ids=["out_of_memory", "internal_error"],
+)
+def test_error_in_a_command_is_one_stderr_line(exc, exit_code, err, capsys, monkeypatch):
+    def fail(args, tol):
+        raise exc
 
-    monkeypatch.setitem(permlog.cli._HANDLERS, "spin", exhaust)
+    monkeypatch.setitem(permlog.cli._HANDLERS, "spin", fail)
     code = main(REFERENCE_ARGS)
     captured = capsys.readouterr()
-    assert code == 2
+    assert code == exit_code
     assert captured.out == ""
-    assert captured.err == "error: out of memory: Unable to allocate 4.00 GiB for an array\n"
+    assert captured.err == err
 
 
 def test_memory_error_while_rendering_is_a_usage_error(capsys, monkeypatch):

@@ -112,21 +112,21 @@ def test_power_identity_trivial_case():
 
 def test_energies_four_states():
     spec = cogwheel_energies(4, 1.0)
-    assert np.allclose(spec.energies, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2], atol=1e-15)
+    assert np.allclose(spec, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2], atol=1e-15)
 
 
 def test_energies_two_states():
-    assert np.allclose(cogwheel_energies(2, 1.0).energies, [0.0, np.pi], atol=1e-15)
+    assert np.allclose(cogwheel_energies(2, 1.0), [0.0, np.pi], atol=1e-15)
 
 
 def test_energies_one_state():
-    assert cogwheel_energies(1, 1.0).energies == pytest.approx([0.0])
+    assert cogwheel_energies(1, 1.0) == pytest.approx([0.0])
 
 
 def test_energies_scale_with_timestep_and_phases():
     spec = cogwheel_energies(4, 2.0, [0.1, 0.2, 0.3, 0.4])
     expected = (2 * np.pi * np.arange(4) - 1.0) / 8.0
-    assert np.allclose(spec.energies, expected, atol=1e-15)
+    assert np.allclose(spec, expected, atol=1e-15)
 
 
 def test_energies_reject_bad_timestep():
@@ -139,7 +139,7 @@ def test_energies_reject_bad_timestep():
 @pytest.mark.parametrize("n", range(2, 13))
 def test_energy_spacing_is_uniform(n):
     t = 0.7
-    e = cogwheel_energies(n, t).energies
+    e = cogwheel_energies(n, t)
     assert np.allclose(np.diff(e), 2 * np.pi / (n * t), atol=1e-12)
 
 
@@ -171,7 +171,7 @@ def test_eigenphase_symmetry(n):
 def test_eigenphase_recursion(n):
     # each row advances by its energy per column, modulo a full turn
     a = eigenphases(n)
-    e = cogwheel_energies(n, 1.0).energies
+    e = cogwheel_energies(n, 1.0)
     for row in range(n):
         for col in range(n - 1):
             step = np.exp(1j * (a[row, col] + e[row]))
@@ -201,7 +201,7 @@ def test_diagonalizer_diagonalizes_standard_form(n):
     # brute-force conjugation against the eigenvalue grid e^{-i E_n}
     d = diagonalizer(n)
     u = build_standard_form(n)
-    lam = np.diag(np.exp(-1j * cogwheel_energies(n, 1.0).energies))
+    lam = np.diag(np.exp(-1j * cogwheel_energies(n, 1.0)))
     assert max_abs_diff(dagger(d) @ u @ d, lam) <= 1e-12
 
 
@@ -209,7 +209,7 @@ def test_diagonalizer_columns_are_eigenvectors():
     n = 5
     d = diagonalizer(n)
     u = build_standard_form(n)
-    e = cogwheel_energies(n, 1.0).energies
+    e = cogwheel_energies(n, 1.0)
     for k in range(n):
         assert np.allclose(u @ d[:, k], np.exp(-1j * e[k]) * d[:, k], atol=1e-12)
 

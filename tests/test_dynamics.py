@@ -25,11 +25,11 @@ from permlog.dynamics import (
     spectrum,
     uniform_polynomial_form,
 )
-from permlog.linalg import commutator, dagger, expm, max_abs_diff
+from permlog.linalg import dagger, expm, max_abs_diff
 from permlog.permutation import Permutation
 from permlog.spins import SpinConfiguration, number_down, number_up, spinflip
 
-from oracles import cycle_block_expm, random_words
+from oracles import commutator, cycle_block_expm, random_words
 
 ROUND_TRIP_TOL = 1e-10
 

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 
 from permlog.linalg import (
     DimensionMismatch,
-    commutator,
     dagger,
     expm,
     identity,
@@ -16,6 +15,8 @@ from permlog.linalg import (
 )
 from permlog.cogwheel import build_standard_form
 from permlog.spins import exchange_permutation
+
+from oracles import commutator
 
 EQ_TOL = 1e-10
 CLOSED_FORM_TOL = 1e-12

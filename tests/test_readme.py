@@ -1,7 +1,12 @@
-"""The quick-start example of README.md runs as written."""
+"""The quick-start example of README.md runs as written, and the package exports what it defines."""
 
+import dataclasses
+import inspect
 import re
+import types
 from pathlib import Path
+
+import permlog
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +20,20 @@ def test_quick_start_block_runs():
     code = quick_start_code()
     assert "pl.bch_chain(word)" in code
     exec(compile(code, f"{README.name} quick start", "exec"), {})
+
+
+def test_exports_are_the_public_names():
+    public = {name for name, value in vars(permlog).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(permlog.__all__) == sorted(public)
+    namespace: dict = {}
+    exec("from permlog import *", namespace)
+    assert set(permlog.__all__) <= set(namespace)
+    # names that only the tests used are gone; the generic series and commutator live in tests/oracles.py
+    for name in ("bch_series_truncated", "commutator", "CogwheelSpectrum"):
+        assert not hasattr(permlog, name)
+    for name in ("spin_down", "spin_value", "up_count", "down_count", "flipped"):
+        assert not hasattr(permlog.SpinConfiguration, name)
+    assert "timestep" not in {f.name for f in dataclasses.fields(permlog.BlockHamiltonianReport)}
+    assert list(inspect.signature(permlog.superposition_leakage).parameters) == ["m"]
+    assert list(inspect.signature(permlog.Permutation.matrix).parameters) == ["self"]
