@@ -113,35 +113,36 @@ def _sectors(n_spins: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return members, position
 
 
-def _local_factors(word: ExchangeWord) -> Iterator[tuple[np.ndarray, list[Permutation]]]:
+def _involution(q: np.ndarray) -> np.ndarray:
+    """q made read-only, once checked to be an involution of 0..q.size-1 (and so a bijection of it)."""
+    if q.min() < 0 or q.max() >= q.size or not np.array_equal(q[q], np.arange(q.size)):
+        raise InvolutionViolation("the sector map is not an involution of its sector")
+    q.flags.writeable = False
+    return q
+
+
+def _local_factors(word: ExchangeWord) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """Each down-count sector's configurations and the word's factors restricted to it, one sector at a time.
 
-    The Permutation constructor refuses a map that is not a bijection, so a
-    factor that left its sector could not yield a block.
+    Each factor is an index map of sector positions, checked once where it is made:
+    a factor that left its sector or did not square to the identity yields no block.
     """
     members, position = _sectors(word.n_spins)
-    perms = [exchange_permutation(word.n_spins, i, j) for i, j in word.factors]
-    return ((idx, [Permutation(position[p.map[idx]]) for p in perms]) for idx in members)
+    maps = [exchange_permutation(word.n_spins, i, j).map for i, j in word.factors]
+    return ((idx, [_involution(position[q[idx]]) for q in maps]) for idx in members)
 
 
-def _times_exp_involution(m: np.ndarray, p: Permutation, theta: float) -> np.ndarray:
-    """m @ exp(-i*theta*P) for a permutation involution P, as one column gather.
+def _times_exps(m: np.ndarray, factors: Sequence[np.ndarray], thetas: Iterable[float]) -> np.ndarray:
+    """m @ exp(-i*theta_1*P_1) @ exp(-i*theta_2*P_2) @ ..., one column gather per involution map P_f.
 
     exp(-i*theta*P) = cos(theta)*I - i*sin(theta)*P, and (m @ P)[:, x] = m[:, P(x)],
-    so the product costs O(dim^2) instead of a dense O(dim^3) matrix product.
+    so each factor costs O(dim^2) instead of a dense O(dim^3) matrix product.
     """
-    if not np.array_equal(p.map[p.map], np.arange(p.size)):
-        raise InvolutionViolation("the permutation does not square to the identity")
-    out = np.take(m, p.map, axis=1)
-    out *= -1j * np.sin(theta)
-    out += np.cos(theta) * m
-    return out
-
-
-def _times_exps(m: np.ndarray, factors: Sequence[Permutation], thetas: Iterable[float]) -> np.ndarray:
-    """m @ exp(-i*theta_1*P_1) @ exp(-i*theta_2*P_2) @ ..., one column gather per factor."""
-    for p, theta in zip(factors, thetas):
-        m = _times_exp_involution(m, p, theta)
+    for q, theta in zip(factors, thetas):
+        out = np.take(m, q, axis=1)
+        out *= -1j * np.sin(theta)
+        out += np.cos(theta) * m
+        m = out
     return m
 
 
@@ -189,7 +190,7 @@ def _require_commuting_tail(word: ExchangeWord) -> None:
         )
 
 
-def _sector_chain_forms(word: ExchangeWord, theta: float) -> Iterator[tuple[list[Permutation], dict]]:
+def _sector_chain_forms(word: ExchangeWord, theta: float) -> Iterator[tuple[list[np.ndarray], dict]]:
     """Each sector's local factors and its blocks of the three factored forms at coupling theta (tail checked)."""
     m = len(word.factors)
     states, gate = _tail_sum_gate(word, theta)
@@ -198,7 +199,7 @@ def _sector_chain_forms(word: ExchangeWord, theta: float) -> Iterator[tuple[list
         yield factors, {
             FORM_FACTORED: (1j**m) * _times_exps(head, factors[-2:], repeat(theta)),
             FORM_TAIL_SUM: (1j**m) * _times_exp_tail_sum(head, idx, states, gate),
-            FORM_TAIL_PRODUCT: (1j ** (m - 1)) * _times_exp_involution(head, factors[-2] * factors[-1], theta),
+            FORM_TAIL_PRODUCT: (1j ** (m - 1)) * _times_exps(head, [_involution(factors[-2][factors[-1]])], [theta]),
         }
 
 
@@ -208,7 +209,7 @@ def _form_deviations(word: ExchangeWord, theta: float, signs: dict[str, float]) 
     for factors, forms in _sector_chain_forms(word, theta):
         # the sector's block of the evolution permutation, as the product of its local
         # factors; evolution_permutation would warn about untouched spins again
-        base = reduce(Permutation.__mul__, factors).matrix()
+        base = Permutation(reduce(np.take, factors)).matrix()
         for label, block in forms.items():
             dev = max_abs_diff(block, signs[label] * base)
             deviations[label] = max(deviations.get(label, dev), dev)

@@ -267,7 +267,7 @@ def _render_csv(payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns the payload; --n, --t and the tolerance are already checked
+# commands: each returns inputs, results and verifications; --n, --t and the tolerance are already checked
 
 
 def _check(name: str, error: float, tolerance: float) -> dict:
@@ -324,8 +324,6 @@ def _cmd_cogwheel(args, tol: float) -> dict:
         ]
 
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "cogwheel",
         "inputs": {
             "n": n,
             "t": float(t),
@@ -381,8 +379,6 @@ def _cmd_spin(args, tol: float) -> dict:
     ]
 
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spin",
         "inputs": {"n": n, "word": str(word), "t": float(t), "tolerance": float(tol)},
         "results": {
             "dimension": perm.size,
@@ -470,8 +466,6 @@ def _cmd_bch(args, tol: float) -> dict:
             verifications.append(_check("zero_coupling_leakage", leak, DEFAULT_UNITARITY_TOL))
 
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bch",
         "inputs": {"n": n, "word": str(word), "t": float(t), "tolerance": float(tol)},
         "results": results,
         "verifications": verifications,
@@ -499,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cog = sub.add_parser("cogwheel", help="standard-form operator, energies, Hamiltonian")
     p_cog.add_argument("--n", type=int, required=True, help=f"number of states (1..{COGWHEEL_CAP})")
-    p_cog.add_argument("--phases", default=None, help="comma-separated phases (default all zero)")
+    p_cog.add_argument("--phases", default=None, help="comma-separated phases (default all zero); "
+                       "write a negative first value as --phases=-0.4,0.1")
     add_common(p_cog)
 
     p_spin = sub.add_parser("spin", help="exchange-word dynamics on N spins")
@@ -557,7 +552,7 @@ def main(argv=None) -> int:
     try:
         tol = _resolve_tol(args)
         _validate(args)
-        payload = _HANDLERS[args.command](args, tol)
+        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **_HANDLERS[args.command](args, tol)}
         if args.format == "json":
             rendered = _emit_json(payload) + "\n"
         elif args.format == "csv":

@@ -27,7 +27,7 @@ from permlog.bch import (
     _require_commuting_tail,
     _sector_chain_forms,
     _sectors,
-    _times_exp_involution,
+    _times_exps,
 )
 from permlog.dynamics import (
     ExchangeWord,
@@ -105,14 +105,14 @@ INVOLUTIONS = [
     ids=["zero", "pi", "quarter_turn"],
 )
 def test_exp_involution_closed_form_angles(p, theta, phase, expected, tol):
-    assert max_abs_diff(phase * _times_exp_involution(identity(p.size), p, theta), expected(p)) <= tol
+    assert max_abs_diff(phase * _times_exps(identity(p.size), [p.map], [theta]), expected(p)) <= tol
 
 
 @pytest.mark.parametrize("p", INVOLUTIONS)
 @pytest.mark.parametrize("theta", [0.1, np.pi / 4, np.pi / 2, 1.3])
 def test_exp_involution_agrees_with_series(p, theta):
     series = expm(-1j * theta * p.matrix())
-    assert max_abs_diff(_times_exp_involution(identity(p.size), p, theta), series) <= CLOSED_FORM_TOL
+    assert max_abs_diff(_times_exps(identity(p.size), [p.map], [theta]), series) <= CLOSED_FORM_TOL
 
 
 def test_merged_sum_equals_merged_product(reference_word):
@@ -481,7 +481,7 @@ def dense_head(word, theta):
     """The word's head exponentials as a dense matrix, by the column gathers the sector blocks use."""
     head = identity(1 << word.n_spins)
     for i, j in word.factors[:-2]:
-        head = _times_exp_involution(head, exchange_permutation(word.n_spins, i, j), theta)
+        head = _times_exps(head, [exchange_permutation(word.n_spins, i, j).map], [theta])
     return head
 
 
@@ -551,11 +551,11 @@ def test_one_spoiled_sector_shows_in_every_result(monkeypatch):
     assert perturbation_leakage(word, config) > 0.0
     assert coupling_variant_check(word, 0, "plus_half")
 
-    def spoil_one_sector(m, p, theta):
-        out = _times_exp_involution(m, p, theta)
+    def spoil_one_sector(m, factors, thetas):
+        out = _times_exps(m, factors, thetas)
         return out * 1.001 if m.shape[0] == math.comb(6, 2) else out
 
-    monkeypatch.setattr(permlog.bch, "_times_exp_involution", spoil_one_sector)
+    monkeypatch.setattr(permlog.bch, "_times_exps", spoil_one_sector)
     with pytest.raises(NonUnitaryError):
         perturbation_leakage(word, config)
     assert not coupling_variant_check(word, 0, "plus_half")
@@ -566,8 +566,59 @@ def test_one_spoiled_sector_shows_in_every_result(monkeypatch):
     assert result.deviations()[FORM_FACTORED] > 1e-3
 
 
-@pytest.mark.parametrize("p", [Permutation((1, 2, 0)), Permutation((1, 2, 3, 0))])
-def test_exponential_of_a_non_involution_is_refused(p):
-    # the four-cycle squares to an involution, not to the identity
+def spin_three_cycle(n, i, j):
+    # spins 1 -> 2 -> 3 -> 1 on every configuration: it stays in each sector but squares to its inverse
+    return exchange_permutation(n, 1, 2) * exchange_permutation(n, 2, 3)
+
+
+def leaves_its_sector(n, i, j):
+    # swaps the all-up configuration with one that has a spin down: an involution, but not of a sector
+    x = np.arange(1 << n)
+    x[[0, 2]] = x[[2, 0]]
+    return Permutation(x)
+
+
+@pytest.mark.parametrize("exchange", [spin_three_cycle, leaves_its_sector])
+def test_exponential_of_a_non_involution_is_refused(monkeypatch, reference_word, exchange):
+    # every factor map is checked where it is made; an out-of-range entry is refused, not indexed
+    monkeypatch.setattr(permlog.bch, "exchange_permutation", exchange)
     with pytest.raises(InvolutionViolation):
-        _times_exp_involution(identity(p.size), p, 0.5)
+        perturbation_leakage(reference_word, PerturbationConfig(epsilon=0.01))
+    with pytest.raises(InvolutionViolation):
+        bch_chain(reference_word)
+
+
+def test_tail_product_of_a_non_commuting_pair_is_refused(monkeypatch, reference_word):
+    # each factor stays an involution, but P12 P23 is a three-cycle: the tail map fails its own check
+    def tail_pair_overlaps(n, i, j):
+        return exchange_permutation(n, *((2, 3) if (i, j) == (3, 4) else (i, j)))
+
+    monkeypatch.setattr(permlog.bch, "exchange_permutation", tail_pair_overlaps)
+    assert perturbation_leakage(reference_word) < 1e-12
+    with pytest.raises(InvolutionViolation):
+        bch_chain(reference_word)
+    with pytest.raises(InvolutionViolation):
+        coupling_variant_check(reference_word, 0, "plus_half")
+
+
+def test_sector_factors_build_few_permutations(monkeypatch):
+    # the sector factors are plain index maps: a call constructs well under one Permutation per
+    # factor and sector, m * (N + 1) = 90 for a 9-factor word at n = 9
+    word = ExchangeWord(n_spins=9, factors=tuple((i, i + 1) for i in range(1, 9)) + ((1, 2),))
+    counts = []
+    post_init = Permutation.__post_init__
+
+    def counting(self):
+        counts[-1] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counting)
+    calls = (
+        lambda: bch_chain(word),
+        lambda: coupling_variant_check(word, 1, "plus_three_half"),
+        lambda: perturbation_leakage(word, PerturbationConfig(epsilon=0.01)),
+    )
+    for call in calls:
+        counts.append(0)
+        call()
+    assert max(counts) < len(word.factors) * (word.n_spins + 1), counts

@@ -269,6 +269,24 @@ def test_cogwheel_usage_error_builds_no_operator(args, message, capsys, monkeypa
     assert captured.err == f"error: {message}\n"
 
 
+def test_cogwheel_negative_first_phase_is_written_with_equals(capsys):
+    code, out = run_cli(["cogwheel", "--n", "2", "--phases=-0.4,0.1", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["inputs"]["phases"] == [-0.4, 0.1]
+
+
+def test_cogwheel_phases_whose_sum_overflows_are_one_stderr_line():
+    # a fresh process: any numpy RuntimeWarning would reach its stderr before the error line
+    proc = subprocess.run(
+        [sys.executable, "-m", "permlog.cli", "cogwheel", "--n", "2", "--phases=1e308,1e308", "--format", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: phases and their sum must be finite\n"
+
+
 def test_cogwheel_csv_energies(capsys):
     code, out = run_cli(["cogwheel", "--n", "2", "--format", "csv"], capsys)
     assert code == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,17 @@ def test_standard_form_validates_input():
         build_standard_form(0)
     with pytest.raises(ValueError):
         build_standard_form(3, [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "use", [build_standard_form, verify_power_identity, lambda n, phases: cogwheel_energies(n, 1.0, phases)]
+)
+@pytest.mark.parametrize("phases", [[1e308, 1e308], [np.inf, -np.inf], [np.nan, 0.0]])
+def test_phases_whose_sum_is_not_finite_are_refused_without_a_warning(use, phases):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^phases and their sum must be finite$"):
+            use(2, phases)
 
 
 def test_standard_form_matches_shift_permutation():
