@@ -8,8 +8,6 @@ together with the coupling-perturbation instability probe.
 """
 
 from .bch import (
-    BchChainResult,
-    PerturbationConfig,
     PreconditionViolation,
     bch_chain,
     coupling_variant_check,
@@ -69,7 +67,6 @@ from .spins import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BchChainResult",
     "BlockHamiltonianReport",
     "DEFAULT_EQ_TOL",
     "DEFAULT_UNITARITY_TOL",
@@ -80,7 +77,6 @@ __all__ = [
     "NonUnitaryError",
     "OrbitDecomposition",
     "Permutation",
-    "PerturbationConfig",
     "PreconditionViolation",
     "SPIN_CAP",
     "SpectrumReport",

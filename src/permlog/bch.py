@@ -23,7 +23,6 @@ a phased permutation, quantified by :func:`superposition_leakage`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence, Union
@@ -61,38 +60,6 @@ COUPLING_FAMILIES = ("plus_half", "plus_three_half")
 
 class PreconditionViolation(ValueError):
     """The word does not meet the structural requirements of a requested form."""
-
-
-@dataclass(frozen=True)
-class PerturbationConfig:
-    """Coupling offsets: theta = (2k + 1/2)*pi + epsilon, uniform or per factor."""
-
-    epsilon: Union[float, Sequence[float]] = 0.0
-    k: int = 0
-
-    def offsets(self, n_factors: int) -> np.ndarray:
-        eps = np.asarray(self.epsilon, dtype=float)
-        if eps.ndim == 0:
-            eps = np.full(n_factors, float(eps))
-        if eps.shape != (n_factors,):
-            raise ValueError(f"need one offset or {n_factors} of them, got shape {eps.shape}")
-        if not np.all(np.isfinite(eps)):
-            raise ValueError("offsets must be finite")
-        return eps
-
-
-@dataclass(frozen=True)
-class BchChainResult:
-    """Each closed form's largest entrywise departure from the permutation product, in bch_chain's order."""
-
-    form_deviations: tuple[tuple[str, float], ...]
-
-    @property
-    def max_deviation(self) -> float:
-        return max(dev for _, dev in self.form_deviations)
-
-    def deviations(self) -> dict[str, float]:
-        return dict(self.form_deviations)
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +183,7 @@ def _form_deviations(word: ExchangeWord, theta: float, signs: dict[str, float]) 
     return deviations
 
 
-def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> BchChainResult:
+def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> dict[str, float]:
     """Evaluate the closed exponential forms of a word and compare to the plain product.
 
     Forms, for a word of m factors whose last two commute:
@@ -224,10 +191,11 @@ def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> BchChainResult:
       * exp_tail_sum:     i^m * (head exponentials) * exp(-i*(pi/2)*(P_last2 + P_last))
       * exp_tail_product: i^(m-1) * (head exponentials) * exp(-i*(pi/2)*P_last2 @ P_last)
       * exp_hamiltonian:  exp(-i*T*H) with H the uniform polynomial Hamiltonian
-    All four equal the permutation product exactly; max_deviation reports the
-    worst entrywise departure actually observed. The first three forms are
-    compared with the product sector by sector, exp_hamiltonian once per cycle
-    length L: on every such cycle H is sum_k c_k S^k for the L-point shift S.
+    All four equal the permutation product exactly. The result maps each form, in
+    this order, to its worst entrywise departure from the product actually observed.
+    The first three forms are compared with the product sector by sector,
+    exp_hamiltonian once per cycle length L: on every such cycle H is sum_k c_k S^k
+    for the L-point shift S.
     """
     _require_commuting_tail(word)
     perm = evolution_permutation(word)
@@ -238,7 +206,7 @@ def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> BchChainResult:
     deviations[FORM_HAMILTONIAN] = max(
         max_abs_diff(expm(-1j * timestep * polynomial_matrix(s, coeffs)), s.matrix()) for s in shifts
     )
-    return BchChainResult(form_deviations=tuple(deviations.items()))
+    return deviations
 
 
 def coupling_variant_check(word: ExchangeWord, k: int, family: str, tol: float = DEFAULT_EQ_TOL) -> bool:
@@ -275,19 +243,28 @@ def superposition_leakage(m) -> float:
     return float(min(1.0, max(0.0, (1.0 - column_peaks).max())))
 
 
-def _perturbed_blocks(word: ExchangeWord, config: PerturbationConfig) -> Iterator[np.ndarray]:
+def _perturbed_blocks(word: ExchangeWord, epsilon: Union[float, Sequence[float]]) -> Iterator[np.ndarray]:
     """The sector blocks of :func:`perturbation_leakage`'s product, one at a time; the offsets are checked at once."""
-    thetas = (2 * config.k + 0.5) * np.pi + config.offsets(len(word.factors))
-    phase = 1j ** len(word.factors)  # a power of i multiplies exactly, so it is applied once
+    m = len(word.factors)
+    offsets = np.asarray(epsilon, dtype=float)
+    if offsets.ndim == 0:
+        offsets = np.full(m, offsets)
+    if offsets.shape != (m,):
+        raise ValueError(f"need one offset or {m} of them, got shape {offsets.shape}")
+    if not np.all(np.isfinite(offsets)):
+        raise ValueError("offsets must be finite")
+    thetas = 0.5 * np.pi + offsets
+    phase = 1j**m  # a power of i multiplies exactly, so it is applied once
     return (phase * _times_exps(identity(idx.size), factors, thetas) for idx, factors in _local_factors(word))
 
 
-def perturbation_leakage(word: ExchangeWord, config: PerturbationConfig = PerturbationConfig()) -> float:
-    """:func:`superposition_leakage` of the product, in word order, of i * exp(-i*((2k + 1/2)*pi + epsilon_f) * P_f).
+def perturbation_leakage(word: ExchangeWord, epsilon: Union[float, Sequence[float]] = 0.0) -> float:
+    """:func:`superposition_leakage` of the product, in word order, of i * exp(-i*(pi/2 + epsilon_f) * P_f).
 
-    The product is the exact permutation product at zero offsets, and any nonzero offset
-    generically leaks weight off it. It is block diagonal over the down-count sectors, so
-    each block is checked for unitarity with the same tolerance and no column's peak lies
-    outside its block: the leakage is the largest of the blocks' leakages.
+    epsilon is one offset for every factor or one per factor. The product is the exact
+    permutation product at zero offsets, and any nonzero offset generically leaks weight
+    off it. It is block diagonal over the down-count sectors, so each block is checked
+    for unitarity with the same tolerance and no column's peak lies outside its block:
+    the leakage is the largest of the blocks' leakages.
     """
-    return max(superposition_leakage(block) for block in _perturbed_blocks(word, config))
+    return max(superposition_leakage(block) for block in _perturbed_blocks(word, epsilon))

@@ -23,7 +23,6 @@ import numpy as np
 
 from .bch import (
     COUPLING_FAMILIES,
-    PerturbationConfig,
     PreconditionViolation,
     bch_chain,
     coupling_variant_check,
@@ -439,11 +438,9 @@ def _cmd_bch(args, tol: float) -> dict:
         results["chain_error"] = str(exc)
         verifications.append(_check_bool("chain_preconditions", False))
     else:
-        results["max_deviation"] = float(chain.max_deviation)
-        results["form_deviations"] = {
-            label: float(dev) for label, dev in chain.deviations().items()
-        }
-        for label, dev in results["form_deviations"].items():
+        results["max_deviation"] = max(chain.values())
+        results["form_deviations"] = chain
+        for label, dev in chain.items():
             verifications.append(_check(f"form_{label}", dev, tol))
         variants = []
         for family in COUPLING_FAMILIES:
@@ -454,14 +451,10 @@ def _cmd_bch(args, tol: float) -> dict:
         results["coupling_variants"] = variants
 
     if eps_values is not None:
-        sweep = []
-        for eps in eps_values:
-            leak = perturbation_leakage(word, PerturbationConfig(epsilon=float(eps)))
-            sweep.append([float(eps), float(leak)])
-        results["sweep"] = sweep
+        results["sweep"] = [[eps, perturbation_leakage(word, eps)] for eps in eps_values.tolist()]
     if args.epsilon is not None:
-        leak = perturbation_leakage(word, PerturbationConfig(epsilon=float(args.epsilon)))
-        results["perturbation"] = {"epsilon": float(args.epsilon), "leakage": float(leak)}
+        leak = perturbation_leakage(word, args.epsilon)
+        results["perturbation"] = {"epsilon": args.epsilon, "leakage": leak}
         if args.epsilon == 0.0:
             verifications.append(_check("zero_coupling_leakage", leak, DEFAULT_UNITARITY_TOL))
 

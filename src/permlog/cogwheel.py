@@ -74,11 +74,19 @@ def verify_power_identity(n: int, phases=None, tol: float = DEFAULT_EQ_TOL) -> b
 
 
 def cogwheel_energies(n: int, timestep: float = 1.0, phases=None) -> np.ndarray:
-    """E_n = (2*pi*n - sum(phases)) / (N*T) for n = 0..N-1; ascending for zero phases."""
+    """E_n = (2*pi*n - sum(phases)) / (N*T) for n = 0..N-1; ascending for zero phases.
+
+    Raises ValueError if N*T or an energy is not a finite float: a tiny T makes the
+    energies overflow, and an N*T past the float range would flush every one to 0.
+    """
     _check_size(n)
     _check_timestep(timestep)
     ph = _phase_vector(n, phases)
-    return (2.0 * np.pi * np.arange(n) - ph.sum()) / (n * timestep)
+    with np.errstate(over="ignore"):  # refused here, not warned about
+        energies = (2.0 * np.pi * np.arange(n) - ph.sum()) / (n * timestep)
+        if not (np.isfinite(n * timestep) and np.isfinite(energies).all()):
+            raise ValueError(f"timestep {float(timestep):g} is out of range: the energies cannot be represented")
+    return energies
 
 
 def eigenphases(n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cogwheel import _check_timestep, cogwheel_hamiltonian, polynomial_coefficients
+from .cogwheel import _check_timestep, cogwheel_energies, cogwheel_hamiltonian, polynomial_coefficients
 from .permutation import Permutation
 from .spins import _check_pair, _check_spin_count, exchange_permutation
 
@@ -221,11 +221,10 @@ class SpectrumReport:
 def spectrum(perm: Permutation, timestep: float = 1.0) -> SpectrumReport:
     """Exact spectrum of the assembled Hamiltonian, by analytic bookkeeping.
 
-    A cycle of length L contributes energies 2*pi*n/(L*T), n = 0..L-1. Levels
-    from different cycles are merged by the exact rational n/L, so no float
+    A cycle of length L contributes the cogwheel energies 2*pi*n/(L*T), n = 0..L-1.
+    Levels from different cycles are merged by the exact rational n/L, so no float
     comparison is involved; no numerical diagonalization is performed.
     """
-    _check_timestep(timestep)
     groups = _cycles_by_length(perm)
     starts = np.sort(np.concatenate([rows[:, 0] for rows in groups.values()]))
     sources: dict[Fraction, list[int]] = {}  # each level's contributing cycles, by index in cycles()
@@ -234,7 +233,8 @@ def spectrum(perm: Permutation, timestep: float = 1.0) -> SpectrumReport:
         for n in range(length):  # a cycle's levels n/L are distinct, so it contributes once to each
             sources.setdefault(Fraction(n, length), []).extend(indices)
     fractions = sorted(sources)
-    energies = tuple(2.0 * np.pi * f.numerator / (f.denominator * timestep) for f in fractions)
+    grids = {q: cogwheel_energies(q, timestep) for q in {f.denominator for f in fractions}}
+    energies = tuple(float(grids[f.denominator][f.numerator]) for f in fractions)
     provenance = tuple(tuple(sorted(sources[f])) for f in fractions)
     mults = tuple(len(cycles) for cycles in provenance)
     return SpectrumReport(

@@ -676,6 +676,20 @@ def test_non_finite_tolerance_or_timestep_is_usage_error(command, case, fmt, cap
     assert captured.err == message + "\n"
 
 
+@pytest.mark.parametrize("t", ["1e-310", "1e308"])
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_timestep_with_unrepresentable_energies_is_one_stderr_line(command, t):
+    # a fresh process: any numpy RuntimeWarning would reach its stderr before the error line
+    proc = subprocess.run(
+        [sys.executable, "-m", "permlog.cli", *COMMAND_ARGS[command], "--t", t, "--format", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: timestep {float(t):g} is out of range: the energies cannot be represented\n"
+
+
 def test_bad_word_is_usage_error(capsys):
     code = main(["spin", "--n", "4", "--word", "P15"])
     assert code == 2

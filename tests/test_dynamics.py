@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 from fractions import Fraction
 
@@ -476,6 +477,35 @@ def test_grouped_blocks_equal_per_cycle_reference_on_random_words(w, t):
 )
 def test_grouped_blocks_equal_per_cycle_reference(perm, t):
     assert_matches_per_cycle_reference(perm, t)
+
+
+@pytest.mark.parametrize("t", [1e-310, 1e308])
+def test_every_timestep_entry_point_refuses_unrepresentable_energies(reference_perm, t):
+    # N*T past the float range would flush every energy to 0; a tiny T would make them overflow
+    calls = [
+        lambda: cogwheel_energies(4, t),
+        lambda: cogwheel_hamiltonian(4, t),
+        lambda: polynomial_coefficients(4, t),
+        lambda: hamiltonian_from_permutation(reference_perm, t),
+        lambda: uniform_polynomial_form(reference_perm, t),
+        lambda: spectrum(reference_perm, t),
+        lambda: bch_chain(word("P23 P12 P34"), t),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"timestep {t:g} is out of range")):
+                call()
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e300])
+def test_energies_near_the_float_range_keep_their_arithmetic(reference_perm, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(cogwheel_energies(4, t), (2.0 * np.pi * np.arange(4) - 0.0) / (4 * t))
+        levels = spectrum(reference_perm, t).distinct_energies
+    assert levels == tuple(2.0 * np.pi * f.numerator / (f.denominator * t) for f in
+                           (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
 
 
 @pytest.mark.parametrize("bad", [np.inf, 0.0, -1.0, np.nan])
