@@ -67,14 +67,16 @@ def assemble(blocks, n_spins):
     return out
 
 
-def dense_perturbed_product(word, epsilon):
-    """Product over factors of i * exp(-i*(pi/2 + epsilon_f) * P_f), of dense matrices in word order.
+def dense_perturbed_product(word, epsilon, k=0):
+    """Product over factors of i * exp(-i*((2k + 1/2)*pi + epsilon_f) * P_f), of dense matrices in word order.
 
-    epsilon is one offset for every factor or one per factor.
+    epsilon is one offset for every factor or one per factor. The coupling family
+    k shifts every angle by 2*pi*k, which leaves each exponential unchanged.
     """
     mats = [exchange_permutation(word.n_spins, i, j).matrix() for i, j in word.factors]
     offsets = np.broadcast_to(np.asarray(epsilon, dtype=float), len(mats))
-    return reduce(np.matmul, [1j * exp_involution(p, 0.5 * np.pi + eps) for p, eps in zip(mats, offsets)])
+    base = (2 * k + 0.5) * np.pi
+    return reduce(np.matmul, [1j * exp_involution(p, base + eps) for p, eps in zip(mats, offsets)])
 
 
 def cycle_block_expm(perm, h, scale):

@@ -326,6 +326,15 @@ def test_per_factor_offsets(reference_word):
             perturbation_leakage(reference_word, bad)
 
 
+def test_shifted_coupling_family_still_exact(reference_word):
+    # exp(-i(theta + 2*pi*k)P) = exp(-i*theta*P): the k = 1 family gives the word's permutation too
+    from permlog.dynamics import evolution_permutation
+
+    u = evolution_permutation(reference_word).matrix()
+    out = dense_perturbed_product(reference_word, 0.0, k=1)
+    assert max_abs_diff(out, u) <= 1e-12
+
+
 # --- dense oracles for the structure-aware evaluation ------------------------------------
 #
 # The library evaluates each form from the structure of its factors (column gathers
@@ -508,25 +517,32 @@ def test_chain_and_coupling_check_build_no_dense_matrix():
 
 
 @pytest.mark.parametrize("tail", ["disjoint", "repeated"])
+@pytest.mark.parametrize("k", [-2, 0, 1])
 @pytest.mark.parametrize("seed", range(3))
-def test_perturbed_blocks_match_dense_oracle(seed, tail):
+def test_perturbed_blocks_match_dense_oracle(seed, k, tail):
+    # the library's product stands for every coupling family (2k + 1/2)*pi
     word = random_commuting_tail_word(200 + seed, tail)
     rng = np.random.default_rng(seed)
     per_factor = tuple(rng.uniform(-0.1, 0.1, len(word.factors)))
     for epsilon in (0.0, 0.013, per_factor):
-        dense = dense_perturbed_product(word, epsilon)
+        dense = dense_perturbed_product(word, epsilon, k)
         assert off_sector_max(dense) == 0.0
         assert max_abs_diff(perturbed_product(word, epsilon), dense) <= DENSE_ORACLE_TOL, epsilon
 
 
 @pytest.mark.parametrize("tail", ["disjoint", "repeated"])
+@pytest.mark.parametrize("k", [-2, 0, 1])
 @pytest.mark.parametrize("n", [4, 6, 9])
-def test_perturbation_leakage_equals_dense_leakage(n, tail):
+def test_perturbation_leakage_equals_dense_leakage(n, k, tail):
     word = random_commuting_tail_word(300 + n, tail, n)
     rng = np.random.default_rng(n)
     per_factor = tuple(rng.uniform(-0.1, 0.1, len(word.factors)))
     for epsilon in (0.0, 0.013, -0.3, per_factor):
-        assert perturbation_leakage(word, epsilon) == superposition_leakage(perturbed_product(word, epsilon))
+        leak = perturbation_leakage(word, epsilon)
+        assert leak == superposition_leakage(perturbed_product(word, epsilon))
+        # the coupling family k is an offset of 2*pi*k: it leaks the same, up to the rounding of its angles
+        shifted = perturbation_leakage(word, np.asarray(epsilon) + 2 * np.pi * k)
+        assert abs(leak - shifted) <= 1e-13, epsilon
 
 
 def test_one_spoiled_sector_shows_in_every_result(monkeypatch):
