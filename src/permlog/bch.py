@@ -17,13 +17,23 @@ touches, and exp(-i*T*H) is taken once per distinct cycle length. Only the
 functions given a dense matrix form one; the dense products remain in the tests
 as independent oracles.
 
+The spin flip commutes with every exchange and maps sector k onto sector N - k
+with the positions reversed, so the sectors are visited as mirror pairs
+(k, N - k): the products are formed in sector k only, and sector N - k takes a
+reversed copy, bit for bit the product it would form itself. Every comparison,
+unitarity check and leakage still runs on every sector, and the merged tail sum
+is formed on the mirrored head, as its rounding is not flip-symmetric. A word's
+sector index maps are built and checked once per command and shared by its
+chain, coupling checks and leakages; the coupling check at k = 0 of the
+plus_half family has the chain's coupling and signs and reads its deviations.
+
 Perturbing the pi/2 couplings breaks the closed forms: the product stops being
 a phased permutation, quantified by :func:`superposition_leakage`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -47,7 +57,6 @@ from .linalg import (
     identity,
     max_abs_diff,
 )
-from .permutation import Permutation
 from .spins import exchange_permutation, number_down
 
 FORM_FACTORED = "exp_each_factor"
@@ -86,17 +95,6 @@ def _involution(q: np.ndarray) -> np.ndarray:
         raise InvolutionViolation("the sector map is not an involution of its sector")
     q.flags.writeable = False
     return q
-
-
-def _local_factors(word: ExchangeWord) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
-    """Each down-count sector's configurations and the word's factors restricted to it, one sector at a time.
-
-    Each factor is an index map of sector positions, checked once where it is made:
-    a factor that left its sector or did not square to the identity yields no block.
-    """
-    members, position = _sectors(word.n_spins)
-    maps = [exchange_permutation(word.n_spins, i, j).map for i, j in word.factors]
-    return ((idx, [_involution(position[q[idx]]) for q in maps]) for idx in members)
 
 
 def _times_exps(m: np.ndarray, factors: Sequence[np.ndarray], thetas: Iterable[float]) -> np.ndarray:
@@ -157,30 +155,165 @@ def _require_commuting_tail(word: ExchangeWord) -> None:
         )
 
 
-def _sector_chain_forms(word: ExchangeWord, theta: float) -> Iterator[tuple[list[np.ndarray], dict]]:
-    """Each sector's local factors and its blocks of the three factored forms at coupling theta (tail checked)."""
+def _mirror_pairs(n_spins: int) -> Iterator[tuple[int, int]]:
+    """The sector pairs (k, N - k) for k = 0..N//2; for an even N the middle sector pairs with itself."""
+    return ((k, n_spins - k) for k in range(n_spins // 2 + 1))
+
+
+def _mirror(block: np.ndarray) -> np.ndarray:
+    """Sector N - k's block of a product of exchange exponentials, from sector k's block.
+
+    The spin flip commutes with every exchange and maps sector k's configurations onto
+    sector N - k's in reverse order. So each factor's map in sector N - k is its map in
+    sector k with the positions reversed, and each entry of the product there comes from
+    the same operations on the same operands: the reversed block is that product bit for
+    bit. The copy is contiguous, so a matrix product taken of it rounds as it would on a
+    block formed directly.
+    """
+    return np.ascontiguousarray(block[::-1, ::-1])
+
+
+def _sector_chain_forms(maps: _SectorMaps, theta: float) -> Iterator[tuple[int, dict]]:
+    """Each sector's down count and its blocks of the three factored forms at coupling theta, by mirror pairs.
+
+    Sector N - k takes sector k's factored and tail-product blocks mirrored; only its
+    tail-sum block is formed again, on the mirrored head, because the tail gate and the
+    order of its sum are not flip-symmetric to the last bit.
+    """
+    word = maps.word
     m = len(word.factors)
     states, gate = _tail_sum_gate(word, theta)
-    for idx, factors in _local_factors(word):
+    for k, mirror in _mirror_pairs(word.n_spins):
+        idx, factors = maps.members[k], maps.factors[k]
         head = _times_exps(identity(idx.size), factors[:-2], repeat(theta))
-        yield factors, {
+        forms = {
             FORM_FACTORED: (1j**m) * _times_exps(head, factors[-2:], repeat(theta)),
             FORM_TAIL_SUM: (1j**m) * _times_exp_tail_sum(head, idx, states, gate),
-            FORM_TAIL_PRODUCT: (1j ** (m - 1)) * _times_exps(head, [_involution(factors[-2][factors[-1]])], [theta]),
+            FORM_TAIL_PRODUCT: (1j ** (m - 1)) * _times_exps(head, [maps.products[k][1]], [theta]),
         }
+        yield k, forms
+        if mirror != k:
+            head = _mirror(head)
+            forms = {
+                FORM_FACTORED: _mirror(forms[FORM_FACTORED]),
+                FORM_TAIL_SUM: (1j**m) * _times_exp_tail_sum(head, maps.members[mirror], states, gate),
+                FORM_TAIL_PRODUCT: _mirror(forms[FORM_TAIL_PRODUCT]),
+            }
+            yield mirror, forms
 
 
-def _form_deviations(word: ExchangeWord, theta: float, signs: dict[str, float]) -> dict[str, float]:
-    """Each factored form's largest departure from signs[label] times the product, sector by sector."""
-    deviations: dict[str, float] = {}
-    for factors, forms in _sector_chain_forms(word, theta):
-        # the sector's block of the evolution permutation, as the product of its local
-        # factors; evolution_permutation would warn about untouched spins again
-        base = Permutation(reduce(np.take, factors)).matrix()
-        for label, block in forms.items():
-            dev = max_abs_diff(block, signs[label] * base)
-            deviations[label] = max(deviations.get(label, dev), dev)
-    return deviations
+def _deviation(block: np.ndarray, product: np.ndarray, sign: float) -> float:
+    """The largest entry of |block - sign * P|, for P the permutation matrix of the index map product.
+
+    P holds a 1 at (product[x], x) in each column x and 0 elsewhere, so the difference is
+    the block itself off those entries and block - sign on them: bit for bit the dense
+    comparison, without forming P.
+    """
+    cols = np.arange(product.size)
+    mags = np.abs(block)
+    mags[product, cols] = np.abs(block[product, cols] - sign)
+    dev = float(mags.max())
+    if not np.isfinite(dev):
+        raise ValueError("matrix entries must be finite")
+    return dev
+
+
+def _perturbed_blocks(
+    maps: _SectorMaps, epsilon: Union[float, Sequence[float]]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Each sector's down count and its block of :func:`perturbation_leakage`'s product, by mirror pairs.
+
+    The offsets are checked before the first block is formed.
+    """
+    m = len(maps.word.factors)
+    offsets = np.asarray(epsilon, dtype=float)
+    if offsets.ndim == 0:
+        offsets = np.full(m, offsets)
+    if offsets.shape != (m,):
+        raise ValueError(f"need one offset or {m} of them, got shape {offsets.shape}")
+    if not np.all(np.isfinite(offsets)):
+        raise ValueError("offsets must be finite")
+    thetas = 0.5 * np.pi + offsets
+    phase = 1j**m  # a power of i multiplies exactly, so it is applied once
+    for k, mirror in _mirror_pairs(maps.word.n_spins):
+        block = phase * _times_exps(identity(maps.members[k].size), maps.factors[k], thetas)
+        yield k, block
+        if mirror != k:
+            block = _mirror(block)
+            yield mirror, block
+
+
+class _SectorMaps:
+    """A word's index maps in every down-count sector, built on first use and shared by one command.
+
+    factors[k] holds each factor restricted to sector k as an index map of the sector's
+    positions, checked once where it is made: a factor that left its sector or did not
+    square to the identity yields no map. products[k] holds the sector's map of the whole
+    product and that of the merged tail product, the latter checked the same way. Only index
+    maps and the form deviations found so far are kept, never a block. Each public function
+    builds its own; the bch command builds one for its chain, coupling checks and leakages.
+    """
+
+    def __init__(self, word: ExchangeWord):
+        self.word = word
+        self.members = _sectors(word.n_spins)[0]
+        self._deviations: dict[tuple[float, float], dict[str, float]] = {}
+
+    @cached_property
+    def factors(self) -> list[list[np.ndarray]]:
+        position = _sectors(self.word.n_spins)[1]
+        maps = [exchange_permutation(self.word.n_spins, i, j).map for i, j in self.word.factors]
+        return [[_involution(position[q[idx]]) for q in maps] for idx in self.members]
+
+    @cached_property
+    def products(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(reduce(np.take, f), _involution(f[-2][f[-1]])) for f in self.factors]
+
+    def chain(self, timestep: float) -> dict[str, float]:
+        """:func:`bch_chain` of the word."""
+        word = self.word
+        _require_commuting_tail(word)
+        perm = evolution_permutation(word)
+        coeffs = uniform_polynomial_form(perm, timestep)
+        deviations = dict(self._form_deviations(np.pi / 2, 1.0))  # a copy: the kept ones stay three forms
+        shifts = [shift_permutation(length) for length in sorted(set(perm.cycle_lengths()))]
+        deviations[FORM_HAMILTONIAN] = max(
+            max_abs_diff(expm(-1j * timestep * polynomial_matrix(s, coeffs)), s.matrix()) for s in shifts
+        )
+        return deviations
+
+    def coupling_check(self, k: int, family: str, tol: float) -> bool:
+        """:func:`coupling_variant_check` of the word."""
+        if family not in COUPLING_FAMILIES:
+            raise ValueError(f"family must be one of {COUPLING_FAMILIES}, got {family!r}")
+        _require_commuting_tail(self.word)
+        theta = (2 * k + (0.5 if family == "plus_half" else 1.5)) * np.pi
+        sign = 1.0 if family == "plus_half" else -1.0
+        return all(dev <= tol for dev in self._form_deviations(theta, sign).values())
+
+    def leakage(self, epsilon: Union[float, Sequence[float]]) -> float:
+        """:func:`perturbation_leakage` of the word."""
+        return max(superposition_leakage(block) for _, block in _perturbed_blocks(self, epsilon))
+
+    def _form_deviations(self, theta: float, sign: float) -> dict[str, float]:
+        """Each factored form's largest departure from its sign times the product, sector by sector.
+
+        Every single-factor exponential carries the sign, so the factored and tail-sum forms
+        carry sign^m and the tail-product form sign^(m-1). The result is kept per (theta, sign):
+        the coupling check at k = 0, plus_half has theta = pi/2 exactly and sign +1, so it reads
+        the chain's deviations instead of forming the same blocks again.
+        """
+        key = (theta, sign)
+        if key not in self._deviations:
+            m = len(self.word.factors)
+            signs = {FORM_FACTORED: sign**m, FORM_TAIL_SUM: sign**m, FORM_TAIL_PRODUCT: sign ** (m - 1)}
+            deviations: dict[str, float] = {}
+            for k, forms in _sector_chain_forms(self, theta):
+                for label, block in forms.items():
+                    dev = _deviation(block, self.products[k][0], signs[label])
+                    deviations[label] = max(deviations.get(label, dev), dev)
+            self._deviations[key] = deviations
+        return self._deviations[key]
 
 
 def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> dict[str, float]:
@@ -197,16 +330,7 @@ def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> dict[str, float]:
     exp_hamiltonian once per cycle length L: on every such cycle H is sum_k c_k S^k
     for the L-point shift S.
     """
-    _require_commuting_tail(word)
-    perm = evolution_permutation(word)
-    coeffs = uniform_polynomial_form(perm, timestep)
-    signs = dict.fromkeys((FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT), 1.0)
-    deviations = _form_deviations(word, np.pi / 2, signs)
-    shifts = [shift_permutation(length) for length in sorted(set(perm.cycle_lengths()))]
-    deviations[FORM_HAMILTONIAN] = max(
-        max_abs_diff(expm(-1j * timestep * polynomial_matrix(s, coeffs)), s.matrix()) for s in shifts
-    )
-    return deviations
+    return _SectorMaps(word).chain(timestep)
 
 
 def coupling_variant_check(word: ExchangeWord, k: int, family: str, tol: float = DEFAULT_EQ_TOL) -> bool:
@@ -218,13 +342,7 @@ def coupling_variant_check(word: ExchangeWord, k: int, family: str, tol: float =
     (-1)^(m-1) times it for the tail-product form (one fewer exponential).
     The check applies those signs and confirms equality within tol.
     """
-    if family not in COUPLING_FAMILIES:
-        raise ValueError(f"family must be one of {COUPLING_FAMILIES}, got {family!r}")
-    _require_commuting_tail(word)
-    theta = (2 * k + (0.5 if family == "plus_half" else 1.5)) * np.pi
-    m, sign = len(word.factors), (1.0 if family == "plus_half" else -1.0)
-    signs = {FORM_FACTORED: sign**m, FORM_TAIL_SUM: sign**m, FORM_TAIL_PRODUCT: sign ** (m - 1)}
-    return all(dev <= tol for dev in _form_deviations(word, theta, signs).values())
+    return _SectorMaps(word).coupling_check(k, family, tol)
 
 
 def superposition_leakage(m) -> float:
@@ -243,21 +361,6 @@ def superposition_leakage(m) -> float:
     return float(min(1.0, max(0.0, (1.0 - column_peaks).max())))
 
 
-def _perturbed_blocks(word: ExchangeWord, epsilon: Union[float, Sequence[float]]) -> Iterator[np.ndarray]:
-    """The sector blocks of :func:`perturbation_leakage`'s product, one at a time; the offsets are checked at once."""
-    m = len(word.factors)
-    offsets = np.asarray(epsilon, dtype=float)
-    if offsets.ndim == 0:
-        offsets = np.full(m, offsets)
-    if offsets.shape != (m,):
-        raise ValueError(f"need one offset or {m} of them, got shape {offsets.shape}")
-    if not np.all(np.isfinite(offsets)):
-        raise ValueError("offsets must be finite")
-    thetas = 0.5 * np.pi + offsets
-    phase = 1j**m  # a power of i multiplies exactly, so it is applied once
-    return (phase * _times_exps(identity(idx.size), factors, thetas) for idx, factors in _local_factors(word))
-
-
 def perturbation_leakage(word: ExchangeWord, epsilon: Union[float, Sequence[float]] = 0.0) -> float:
     """:func:`superposition_leakage` of the product, in word order, of i * exp(-i*(pi/2 + epsilon_f) * P_f).
 
@@ -267,4 +370,4 @@ def perturbation_leakage(word: ExchangeWord, epsilon: Union[float, Sequence[floa
     for unitarity with the same tolerance and no column's peak lies outside its block:
     the leakage is the largest of the blocks' leakages.
     """
-    return max(superposition_leakage(block) for block in _perturbed_blocks(word, epsilon))
+    return _SectorMaps(word).leakage(epsilon)

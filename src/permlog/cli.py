@@ -21,13 +21,7 @@ import sys
 
 import numpy as np
 
-from .bch import (
-    COUPLING_FAMILIES,
-    PreconditionViolation,
-    bch_chain,
-    coupling_variant_check,
-    perturbation_leakage,
-)
+from .bch import COUPLING_FAMILIES, PreconditionViolation, _SectorMaps
 from .cogwheel import (
     build_standard_form,
     cogwheel_energies,
@@ -432,8 +426,9 @@ def _cmd_bch(args, tol: float) -> dict:
 
     verifications = []
     results: dict = {"word": str(word)}
+    maps = _SectorMaps(word)  # the word's sector maps, built once for every check below
     try:
-        chain = bch_chain(word, t)
+        chain = maps.chain(t)
     except PreconditionViolation as exc:
         results["chain_error"] = str(exc)
         verifications.append(_check_bool("chain_preconditions", False))
@@ -445,15 +440,15 @@ def _cmd_bch(args, tol: float) -> dict:
         variants = []
         for family in COUPLING_FAMILIES:
             for k in range(-args.k_range, args.k_range + 1):
-                passed = coupling_variant_check(word, k, family, tol)
+                passed = maps.coupling_check(k, family, tol)
                 variants.append({"k": k, "family": family, "passed": passed})
                 verifications.append(_check_bool(f"coupling_{family}_k{k:+d}", passed))
         results["coupling_variants"] = variants
 
     if eps_values is not None:
-        results["sweep"] = [[eps, perturbation_leakage(word, eps)] for eps in eps_values.tolist()]
+        results["sweep"] = [[eps, maps.leakage(eps)] for eps in eps_values.tolist()]
     if args.epsilon is not None:
-        leak = perturbation_leakage(word, args.epsilon)
+        leak = maps.leakage(args.epsilon)
         results["perturbation"] = {"epsilon": args.epsilon, "leakage": leak}
         if args.epsilon == 0.0:
             verifications.append(_check("zero_coupling_leakage", leak, DEFAULT_UNITARITY_TOL))

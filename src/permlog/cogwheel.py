@@ -133,6 +133,15 @@ def polynomial_coefficients(n: int, timestep: float = 1.0) -> np.ndarray:
     """Coefficients h_0..h_{N-1} with cogwheel_hamiltonian = sum_k h_k U^k.
 
     They are the inverse discrete Fourier transform of the energy vector,
-    h_k = (1/N) * sum_n E_n e^{i*E_n*T*k}, and they sum to zero.
+    h_k = (1/N) * sum_n E_n e^{i*E_n*T*k}, and they sum to zero. Raises ValueError if
+    a coefficient is not a finite float: finite energies near the top of the float
+    range can sum past it.
     """
-    return np.fft.ifft(cogwheel_energies(n, timestep))
+    energies = cogwheel_energies(n, timestep)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused here, not warned about
+        coeffs = np.fft.ifft(energies)
+    if not np.isfinite(coeffs).all():
+        raise ValueError(
+            f"timestep {float(timestep):g} is out of range: the polynomial coefficients cannot be represented"
+        )
+    return coeffs

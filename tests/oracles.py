@@ -8,14 +8,20 @@ library's closed forms.
 """
 
 from functools import reduce
+from itertools import repeat
 
 import numpy as np
 from hypothesis import strategies as st
 
-from permlog.bch import _sectors
-from permlog.dynamics import ExchangeWord, _cycle_blocks, _cycles_by_length, polynomial_matrix
+from permlog.bch import (FORM_FACTORED, FORM_HAMILTONIAN, FORM_TAIL_PRODUCT, FORM_TAIL_SUM, _involution,
+                         _require_commuting_tail, _sectors, _tail_sum_gate, _times_exp_tail_sum, _times_exps,
+                         superposition_leakage)
+from permlog.cogwheel import shift_permutation
+from permlog.dynamics import (ExchangeWord, _cycle_blocks, _cycles_by_length, evolution_permutation,
+                              polynomial_matrix, uniform_polynomial_form)
 from permlog.linalg import (DEFAULT_UNITARITY_TOL, DimensionMismatch, InvolutionViolation, as_matrix, expm,
                             identity, max_abs_diff)
+from permlog.permutation import Permutation
 from permlog.spins import exchange_permutation, number_down, spinflip
 
 
@@ -60,11 +66,78 @@ def exp_involution(p, theta: float, *, unitarity_tol: float = DEFAULT_UNITARITY_
 
 
 def assemble(blocks, n_spins):
-    """The dense 2^N x 2^N matrix with the given down-count sector blocks and zeros elsewhere."""
+    """The dense 2^N x 2^N matrix with the given (sector configurations, block) pairs and zeros elsewhere."""
     out = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
-    for idx, block in zip(_sectors(n_spins)[0], blocks):
+    for idx, block in blocks:
         out[np.ix_(idx, idx)] = block
     return out
+
+
+def every_sector_factors(word):
+    """Each sector's configurations and the word's factors restricted to it, every sector from its own maps."""
+    members, position = _sectors(word.n_spins)
+    maps = [exchange_permutation(word.n_spins, i, j).map for i, j in word.factors]
+    return [(idx, [_involution(position[q[idx]]) for q in maps]) for idx in members]
+
+
+def every_sector_heads(word, theta):
+    """Each sector's configurations, factors and head product at coupling theta, every sector formed in full."""
+    return [(idx, factors, _times_exps(identity(idx.size), factors[:-2], repeat(theta)))
+            for idx, factors in every_sector_factors(word)]
+
+
+def every_sector_chain_forms(word, theta):
+    """Each sector's configurations, factors and three factored-form blocks, every sector formed in full.
+
+    The sector-by-sector evaluation without the spin-flip mirror: the library forms one
+    sector of each pair (k, N - k) and mirrors it, and must agree with this bit for bit.
+    """
+    m = len(word.factors)
+    states, gate = _tail_sum_gate(word, theta)
+    for idx, factors, head in every_sector_heads(word, theta):
+        yield idx, factors, {
+            FORM_FACTORED: (1j**m) * _times_exps(head, factors[-2:], repeat(theta)),
+            FORM_TAIL_SUM: (1j**m) * _times_exp_tail_sum(head, idx, states, gate),
+            FORM_TAIL_PRODUCT: (1j ** (m - 1)) * _times_exps(head, [_involution(factors[-2][factors[-1]])], [theta]),
+        }
+
+
+def every_sector_form_deviations(word, theta, sign):
+    """Each factored form's largest departure from its sign times the product, against a dense sector block."""
+    m = len(word.factors)
+    signs = {FORM_FACTORED: sign**m, FORM_TAIL_SUM: sign**m, FORM_TAIL_PRODUCT: sign ** (m - 1)}
+    deviations = {}
+    for _, factors, forms in every_sector_chain_forms(word, theta):
+        base = Permutation(reduce(np.take, factors)).matrix()
+        for label, block in forms.items():
+            dev = max_abs_diff(block, signs[label] * base)
+            deviations[label] = max(deviations.get(label, dev), dev)
+    return deviations
+
+
+def every_sector_chain(word, timestep=1.0):
+    """bch_chain's deviations, every sector formed in full and compared with its dense permutation block."""
+    _require_commuting_tail(word)
+    perm = evolution_permutation(word)
+    coeffs = uniform_polynomial_form(perm, timestep)
+    deviations = every_sector_form_deviations(word, np.pi / 2, 1.0)
+    shifts = [shift_permutation(length) for length in sorted(set(perm.cycle_lengths()))]
+    deviations[FORM_HAMILTONIAN] = max(
+        max_abs_diff(expm(-1j * timestep * polynomial_matrix(s, coeffs)), s.matrix()) for s in shifts
+    )
+    return deviations
+
+
+def every_sector_perturbed_blocks(word, epsilon):
+    """Each sector's configurations and its block of the perturbed product, every sector formed in full."""
+    offsets = np.broadcast_to(np.asarray(epsilon, dtype=float), len(word.factors))
+    return [(idx, (1j ** len(word.factors)) * _times_exps(identity(idx.size), factors, 0.5 * np.pi + offsets))
+            for idx, factors in every_sector_factors(word)]
+
+
+def every_sector_leakage(word, epsilon):
+    """perturbation_leakage, every sector formed in full."""
+    return max(superposition_leakage(block) for _, block in every_sector_perturbed_blocks(word, epsilon))
 
 
 def dense_perturbed_product(word, epsilon, k=0):

@@ -22,6 +22,8 @@ from permlog.bch import (
     superposition_leakage,
 )
 from permlog.bch import (
+    _SectorMaps,
+    _mirror,
     _perturbed_blocks,
     _require_commuting_tail,
     _sector_chain_forms,
@@ -51,6 +53,12 @@ from oracles import (
     cycle_block_expm,
     dense_perturbed_product,
     dense_times_exp_tail_sum,
+    every_sector_chain,
+    every_sector_chain_forms,
+    every_sector_form_deviations,
+    every_sector_heads,
+    every_sector_leakage,
+    every_sector_perturbed_blocks,
     exp_involution,
 )
 
@@ -274,7 +282,9 @@ def test_leakage_invariances(left_index, right_index, phase):
 
 def perturbed_product(word, epsilon=0.0):
     """The perturbed product perturbation_leakage checks, assembled dense from its sector blocks."""
-    return assemble(_perturbed_blocks(word, epsilon), word.n_spins)
+    members = _sectors(word.n_spins)[0]
+    blocks = _perturbed_blocks(_SectorMaps(word), epsilon)
+    return assemble(((members[k], block) for k, block in blocks), word.n_spins)
 
 
 def test_zero_perturbation_reproduces_word(reference_word):
@@ -357,8 +367,10 @@ def random_commuting_tail_word(seed, tail, n=None):
 
 def assembled_chain_forms(word, theta):
     """The library's three factored forms at coupling theta, assembled dense from their sector blocks."""
-    sectors = [forms for _, forms in _sector_chain_forms(word, theta)]
-    return {label: assemble([forms[label] for forms in sectors], word.n_spins) for label in sectors[0]}
+    members = _sectors(word.n_spins)[0]
+    sectors = [(members[k], forms) for k, forms in _sector_chain_forms(_SectorMaps(word), theta)]
+    labels = (FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT)
+    return {label: assemble([(idx, forms[label]) for idx, forms in sectors], word.n_spins) for label in labels}
 
 
 def dense_hamiltonian_form(perm, timestep):
@@ -491,9 +503,9 @@ def test_tail_sum_blocks_match_dense_contraction(n, tail, theta):
     word = random_commuting_tail_word(600 + n, tail, n)
     dense = (1j ** len(word.factors)) * dense_times_exp_tail_sum(dense_head(word, theta), word, theta)
     assert off_sector_max(dense) == 0.0
-    blocks = [forms[FORM_TAIL_SUM] for _, forms in _sector_chain_forms(word, theta)]
-    for idx, block in zip(_sectors(n)[0], blocks):
-        assert max_abs_diff(block, dense[np.ix_(idx, idx)]) <= 1e-15
+    for k, forms in _sector_chain_forms(_SectorMaps(word), theta):
+        idx = _sectors(n)[0][k]
+        assert max_abs_diff(forms[FORM_TAIL_SUM], dense[np.ix_(idx, idx)]) <= 1e-15
 
 
 def test_chain_and_coupling_check_build_no_dense_matrix():
@@ -566,6 +578,26 @@ def test_one_spoiled_sector_shows_in_every_result(monkeypatch):
     assert result[FORM_FACTORED] > 1e-3
 
 
+def test_one_spoiled_mirror_copy_shows_in_every_result(monkeypatch):
+    # spoil only the reflected copy that sector 4 of n = 6 takes from sector 2: every public result must notice
+    word = random_commuting_tail_word(400, "disjoint", 6)
+    mirror = permlog.bch._mirror
+
+    def spoil_one_copy(block):
+        out = mirror(block)
+        return out * 1.001 if block.shape[0] == math.comb(6, 2) else out
+
+    monkeypatch.setattr(permlog.bch, "_mirror", spoil_one_copy)
+    with pytest.raises(NonUnitaryError):
+        perturbation_leakage(word, 0.02)
+    assert not coupling_variant_check(word, 0, "plus_half")
+    result = bch_chain(word)
+    baseline = evolution_permutation(word).matrix()
+    for label, mat in assembled_chain_forms(word, np.pi / 2).items():
+        assert result[label] == max_abs_diff(mat, baseline), label
+        assert result[label] > 5e-4, label  # the copy is off by a factor 1.001
+
+
 def spin_three_cycle(n, i, j):
     # spins 1 -> 2 -> 3 -> 1 on every configuration: it stays in each sector but squares to its inverse
     return exchange_permutation(n, 1, 2) * exchange_permutation(n, 2, 3)
@@ -622,3 +654,124 @@ def test_sector_factors_build_few_permutations(monkeypatch):
         counts.append(0)
         call()
     assert max(counts) < len(word.factors) * (word.n_spins + 1), counts
+
+
+def test_leakage_forms_one_product_per_mirror_pair(monkeypatch):
+    # sector N - k takes sector k's product mirrored: at n = 9 that is 5 sector products, not 10
+    word = ExchangeWord(n_spins=9, factors=tuple((i, i + 1) for i in range(1, 9)) + ((1, 2),))
+    sizes = []
+    times_exps = permlog.bch._times_exps
+
+    def counting(m, factors, thetas):
+        sizes.append(m.shape[0])
+        return times_exps(m, factors, thetas)
+
+    monkeypatch.setattr(permlog.bch, "_times_exps", counting)
+    perturbation_leakage(word, 0.01)
+    assert sorted(sizes) == [math.comb(9, k) for k in range(9 // 2 + 1)]
+
+
+# --- spin-flip mirror pairs and the shared sector maps --------------------------------------
+#
+# The library forms one sector of each pair (k, N - k) and reverses it into the other, and one
+# command shares one set of sector maps. The oracles form every sector from its own factor maps.
+
+
+def mirror_test_word(rng, n):
+    """Up to 2n random exchanges on n spins, then a commuting tail pair; spins may be left untouched."""
+    def pair(spins):
+        return tuple(int(s) for s in rng.choice(spins, 2, replace=False))
+
+    pairs = [pair(range(1, n + 1)) for _ in range(rng.integers(1, 2 * n))]
+    rest = [s for s in range(1, n + 1) if s not in pairs[-1]]
+    last = pair(rest) if len(rest) >= 2 and rng.random() < 0.5 else pairs[-1]  # disjoint or repeated
+    return ExchangeWord(n_spins=n, factors=(*pairs, last))
+
+
+def assert_mirrored(blocks, n):
+    """Sector N - k's block is sector k's with rows and columns reversed, byte for byte."""
+    for k in range(n + 1):
+        assert _mirror(blocks[k]).tobytes() == blocks[n - k].tobytes(), k
+
+
+@pytest.mark.parametrize("theta", [np.pi / 2, 3 * np.pi / 2, 4.5 * np.pi])
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("n", range(2, 11))
+def test_chain_blocks_of_mirror_sectors_are_reversed_bit_for_bit(n, seed, theta):
+    word = mirror_test_word(np.random.default_rng([n, seed]), n)
+    assert_mirrored([head for _, _, head in every_sector_heads(word, theta)], n)
+    forms = [forms for _, _, forms in every_sector_chain_forms(word, theta)]
+    for label in (FORM_FACTORED, FORM_TAIL_PRODUCT):
+        assert_mirrored([f[label] for f in forms], n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", range(2, 11))
+def test_perturbed_blocks_of_mirror_sectors_are_reversed_bit_for_bit(n, seed):
+    rng = np.random.default_rng([n, seed, 1])
+    word = mirror_test_word(rng, n)
+    for epsilon in (0.013, -0.3, tuple(rng.uniform(-0.1, 0.1, len(word.factors)))):
+        assert_mirrored([block for _, block in every_sector_perturbed_blocks(word, epsilon)], n)
+
+
+@pytest.mark.parametrize("theta", [np.pi / 2, 3 * np.pi / 2, 4.5 * np.pi])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_library_blocks_equal_the_every_sector_blocks(n, theta):
+    # every block the library forms or mirrors, the tail-sum blocks formed on mirrored heads
+    # included, is byte for byte the block of the sector's own product
+    rng = np.random.default_rng([n, 2])
+    word = mirror_test_word(rng, n)
+    maps = _SectorMaps(word)
+    expected = [forms for _, _, forms in every_sector_chain_forms(word, theta)]
+    seen = []
+    for k, forms in _sector_chain_forms(maps, theta):
+        seen.append(k)
+        assert list(forms) == list(expected[k])
+        for label, block in forms.items():
+            assert block.flags.c_contiguous and block.tobytes() == expected[k][label].tobytes(), (k, label)
+    assert sorted(seen) == list(range(n + 1))
+    per_factor = tuple(rng.uniform(-0.1, 0.1, len(word.factors)))
+    for epsilon in (0.013, per_factor):
+        expected = every_sector_perturbed_blocks(word, epsilon)
+        for k, block in _perturbed_blocks(maps, epsilon):
+            assert block.flags.c_contiguous and block.tobytes() == expected[k][1].tobytes(), k
+
+
+@pytest.mark.parametrize("tail", ["disjoint", "repeated"])
+@pytest.mark.parametrize("n", range(4, 10))
+def test_shared_sector_maps_match_the_every_sector_path(n, tail):
+    # one set of maps serves the chain, both coupling families and the leakages, as in the bch
+    # command; each result equals the every-sector evaluation bit for bit
+    word = random_commuting_tail_word(700 + n, tail, n)
+    per_factor = tuple(np.random.default_rng(n).uniform(-0.1, 0.1, len(word.factors)))
+    maps = _SectorMaps(word)
+    assert list(maps.chain(0.37).items()) == list(every_sector_chain(word, 0.37).items())
+    for family, sign in zip(COUPLING_FAMILIES, (1.0, -1.0)):
+        for k in (-1, 0, 1):
+            theta = (2 * k + (0.5 if family == "plus_half" else 1.5)) * np.pi
+            deviations = every_sector_form_deviations(word, theta, sign)
+            assert list(maps._form_deviations(theta, sign).items()) == list(deviations.items())
+            for tol in (CHAIN_TOL, min(deviations.values())):  # a tolerance that some form fails, if any differs
+                verdict = all(dev <= tol for dev in deviations.values())
+                assert maps.coupling_check(k, family, tol) == verdict
+                assert coupling_variant_check(word, k, family, tol) == verdict
+    for epsilon in (0.0, 0.013, -0.3, per_factor):
+        leak = every_sector_leakage(word, epsilon)
+        assert maps.leakage(epsilon) == leak
+        assert perturbation_leakage(word, epsilon) == leak
+
+
+def test_zero_plus_half_check_reads_the_chain(monkeypatch):
+    # theta = (2*0 + 1/2)*pi is pi/2 exactly and every sign is +1: the check forms no block again
+    word = random_commuting_tail_word(800, "disjoint", 7)
+    maps = _SectorMaps(word)
+    assert (2 * 0 + 0.5) * np.pi == np.pi / 2
+    chain = maps.chain(1.0)
+
+    def refuse(*args):
+        raise AssertionError("formed the chain's blocks again")
+
+    monkeypatch.setattr(permlog.bch, "_sector_chain_forms", refuse)
+    assert maps.coupling_check(0, "plus_half", CHAIN_TOL) == (max(list(chain.values())[:3]) <= CHAIN_TOL)
+    with pytest.raises(AssertionError, match="formed the chain's blocks again"):
+        maps.coupling_check(1, "plus_half", CHAIN_TOL)

@@ -524,7 +524,7 @@ def test_bch_csv_without_sweep_is_usage_error(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("evaluated the chain before rejecting the format")
 
-    monkeypatch.setattr(permlog.cli, "bch_chain", refuse)
+    monkeypatch.setattr(permlog.bch._SectorMaps, "chain", refuse)
     code = main(["bch", "--n", "4", "--word", "P23 P12 P34", "--format", "csv"])
     captured = capsys.readouterr()
     assert code == 2
@@ -540,6 +540,20 @@ def test_bch_negative_k_range_is_usage_error(capsys):
     assert "error: --k-range" in captured.err
 
 
+def test_bch_command_builds_the_sector_maps_once(capsys, monkeypatch):
+    # the chain, six coupling checks and four leakages share one set of checked sector maps:
+    # per sector, one map for each of the 7 factors and one for the merged tail product
+    involution = permlog.bch._involution
+    checked = []
+    monkeypatch.setattr(permlog.bch, "_involution", lambda q: checked.append(q.size) or involution(q))
+    argv = ["bch", "--n", "6", "--word", "P12 P23 P34 P45 P56 P12 P34", "--k-range", "1",
+            "--epsilon", "0.01", "--epsilon-sweep", "0:0.05:3", "--format", "json"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert len(json.loads(out)["results"]["sweep"]) == 3
+    assert len(checked) == (7 + 1) * (6 + 1)
+
+
 def test_bch_k_range_within_the_sweep_step_budget(capsys, monkeypatch):
     # each k in -K..K runs one coupling check per family: 2(2K + 1) <= MAX_SWEEP_STEPS
     largest = (MAX_SWEEP_STEPS - 2) // 4
@@ -549,7 +563,7 @@ def test_bch_k_range_within_the_sweep_step_budget(capsys, monkeypatch):
         raise AssertionError("evaluated the chain before rejecting --k-range")
 
     args = ["bch", "--n", "4", "--word", "P23 P12 P34", "--format", "json", "--k-range"]
-    monkeypatch.setattr(permlog.cli, "bch_chain", refuse)
+    monkeypatch.setattr(permlog.bch._SectorMaps, "chain", refuse)
     code = main(args + [str(largest + 1)])
     captured = capsys.readouterr()
     assert code == 2
@@ -557,7 +571,7 @@ def test_bch_k_range_within_the_sweep_step_budget(capsys, monkeypatch):
     assert captured.err == f"error: --k-range must be at most 249, got {largest + 1}\n"
 
     monkeypatch.undo()
-    monkeypatch.setattr(permlog.cli, "coupling_variant_check", lambda word, k, family, tol: True)
+    monkeypatch.setattr(permlog.bch._SectorMaps, "coupling_check", lambda maps, k, family, tol: True)
     code, out = run_cli(args + [str(largest)], capsys)
     assert code == 0
     assert len(json.loads(out)["results"]["coupling_variants"]) == 2 * (2 * largest + 1)
@@ -587,7 +601,7 @@ def test_bch_malformed_sweep_names_the_field(sweep, message, capsys, monkeypatch
     def refuse(*args):
         raise AssertionError("evaluated the chain before rejecting the sweep")
 
-    monkeypatch.setattr(permlog.cli, "bch_chain", refuse)
+    monkeypatch.setattr(permlog.bch._SectorMaps, "chain", refuse)
     code = main(["bch", "--n", "4", "--word", "P23 P12 P34", "--format", "json", "--epsilon-sweep", sweep])
     captured = capsys.readouterr()
     assert code == 2
@@ -610,7 +624,7 @@ def test_bch_non_finite_offsets_are_usage_errors(offsets, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("evaluated the chain before rejecting the offsets")
 
-    monkeypatch.setattr(permlog.cli, "bch_chain", refuse)
+    monkeypatch.setattr(permlog.bch._SectorMaps, "chain", refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # linspace warns on an infinite endpoint
         code = main(["bch", "--n", "4", "--word", "P23 P12 P34", "--format", "json", *offsets])
@@ -688,6 +702,21 @@ def test_timestep_with_unrepresentable_energies_is_one_stderr_line(command, t):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: timestep {float(t):g} is out of range: the energies cannot be represented\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spin", "--n", "4", "--word", "P23 P12 P34", "--t", "4e-308", "--format", "csv"],
+        ["cogwheel", "--n", "5", "--t", "4e-308", "--format", "csv"],
+    ],
+)
+def test_timestep_with_unrepresentable_coefficients_is_one_stderr_line(argv):
+    # finite energies whose inverse DFT overflows: refused before numpy can warn
+    proc = subprocess.run([sys.executable, "-m", "permlog.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: timestep 4e-308 is out of range: the polynomial coefficients cannot be represented\n"
 
 
 def test_bad_word_is_usage_error(capsys):

@@ -508,6 +508,34 @@ def test_energies_near_the_float_range_keep_their_arithmetic(reference_perm, t):
                            (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
 
 
+NEAR_FLOAT_LIMITS = np.concatenate([[2.4256401888576345e-308], np.geomspace(1e-308, 1e-305, 299),
+                                     np.geomspace(1e305, 1.7e308, 300)])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_coefficients_near_the_float_range_are_refused_or_exact(n):
+    # finite energies near the top of the float range can sum past it in the inverse DFT:
+    # such a timestep is refused, without a numpy warning, and every other keeps its arithmetic
+    refused = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in NEAR_FLOAT_LIMITS:
+            try:
+                energies = cogwheel_energies(n, t)
+            except ValueError:
+                continue
+            try:
+                coeffs = polynomial_coefficients(n, t)
+            except ValueError as exc:
+                assert str(exc) == f"timestep {t:g} is out of range: the polynomial coefficients cannot be represented"
+                refused += 1
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert coeffs.tobytes() == np.fft.ifft(energies).tobytes()
+            assert np.isfinite(coeffs).all()
+    assert (refused > 0) == (n >= 3)  # one or two energies sum without overflow here
+
+
 @pytest.mark.parametrize("bad", [np.inf, 0.0, -1.0, np.nan])
 def test_every_timestep_entry_point_rejects_non_finite_and_non_positive(reference_perm, bad):
     message = "timestep must be finite" if bad == np.inf else "timestep must be positive"
