@@ -17,15 +17,15 @@ touches, and exp(-i*T*H) is taken once per distinct cycle length. Only the
 functions given a dense matrix form one; the dense products remain in the tests
 as independent oracles.
 
-The spin flip commutes with every exchange and maps sector k onto sector N - k
-with the positions reversed, so the sectors are visited as mirror pairs
-(k, N - k): the products are formed in sector k only, and sector N - k takes a
-reversed copy, bit for bit the product it would form itself. Every comparison,
-unitarity check and leakage still runs on every sector, and the merged tail sum
-is formed on the mirrored head, as its rounding is not flip-symmetric. A word's
-sector index maps are built and checked once per command and shared by its
-chain, coupling checks and leakages; the coupling check at k = 0 of the
-plus_half family has the chain's coupling and signs and reads its deviations.
+The spin flip commutes with every exchange and maps sector k's configurations
+onto sector N - k's in reverse order, so each factor's map there is its map in
+sector k with the positions reversed, and every entry of a product there comes
+from the same operations on the same operands. Hence the sectors are visited as
+mirror pairs (k, N - k): products are formed in sector k, and sector N - k takes
+a contiguous reversed copy, bit for bit its own. Every comparison, unitarity
+check and leakage still runs on every sector; the merged tail sum is formed on
+the mirrored head, as its gate and sum order are not flip-symmetric to the last
+bit. A word's sector index maps are built and checked once per command.
 
 Perturbing the pi/2 couplings breaks the closed forms: the product stops being
 a phased permutation, quantified by :func:`superposition_leakage`.
@@ -52,7 +52,6 @@ from .linalg import (
     InvolutionViolation,
     NonUnitaryError,
     as_matrix,
-    dagger,
     expm,
     identity,
     max_abs_diff,
@@ -75,9 +74,7 @@ class PreconditionViolation(ValueError):
 def _sectors(n_spins: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The configurations with k down spins for k = 0..N, ascending, and each one's sector position.
 
-    Built on first use and cached, one entry per spin count (at most SPIN_CAP - 1 of
-    them); the arrays are read-only.
-    """
+    Cached per spin count (at most SPIN_CAP - 1 entries); the arrays are read-only."""
     counts = number_down(n_spins)
     order = np.argsort(counts, kind="stable")
     members = tuple(np.split(order, np.cumsum(np.bincount(counts))[:-1]))
@@ -101,12 +98,15 @@ def _times_exps(m: np.ndarray, factors: Sequence[np.ndarray], thetas: Iterable[f
     """m @ exp(-i*theta_1*P_1) @ exp(-i*theta_2*P_2) @ ..., one column gather per involution map P_f.
 
     exp(-i*theta*P) = cos(theta)*I - i*sin(theta)*P, and (m @ P)[:, x] = m[:, P(x)],
-    so each factor costs O(dim^2) instead of a dense O(dim^3) matrix product.
+    so each factor costs O(dim^2) instead of a dense O(dim^3) matrix product. m is copied
+    once, as callers reuse it; each factor then allocates only its gather.
     """
+    m = m.copy()
     for q, theta in zip(factors, thetas):
         out = np.take(m, q, axis=1)
         out *= -1j * np.sin(theta)
-        out += np.cos(theta) * m
+        m *= np.cos(theta)
+        out += m
         m = out
     return m
 
@@ -130,16 +130,23 @@ def _times_exp_tail_sum(m: np.ndarray, idx: np.ndarray, states: np.ndarray, gate
     """m @ exp(-i*theta*(P_last2 + P_last)) for m the block of the sector with configurations idx.
 
     Column x of the product sums m[:, rest(x) | states[y]] * gate[y, local(x)] over the
-    y with a nonzero weight, rest(x) being x with the tail spins up. The gate keeps the
-    tail spins' down count, so every y that would leave the sector has weight exactly 0.
+    y with a nonzero weight, in ascending y, rest(x) being x with the tail spins up. The
+    gate keeps the tail spins' down count, so every y that would leave the sector has
+    weight exactly 0. Row r of the term table holds each column's r-th term (at most four)
+    or, past its last, weight 0 on the column itself, whose signed zero changes no bit of the sum.
     """
     tail = idx & states[-1]
     rest, local = idx ^ tail, np.searchsorted(states, tail)
+    weights = gate[:, local]
+    nonzero = weights != 0
+    ys = np.argsort(~nonzero, axis=0, kind="stable")[: nonzero.sum(axis=0).max()]
+    weights = np.take_along_axis(weights, ys, axis=0)
+    cols = np.where(weights != 0, np.searchsorted(idx, rest | states[ys]), np.arange(idx.size))
     out = np.zeros_like(m)
-    for y, state in enumerate(states):
-        weights = gate[y, local]
-        cols = np.flatnonzero(weights)
-        out[:, cols] += m[:, np.searchsorted(idx, rest[cols] | state)] * weights[cols]
+    for w, c in zip(weights, cols):
+        term = np.take(m, c, axis=1)
+        term *= w
+        out += term
     return out
 
 
@@ -150,9 +157,7 @@ def _require_commuting_tail(word: ExchangeWord) -> None:
     (i1, j1), (i2, j2) = word.factors[-2], word.factors[-1]
     pair, other = {i1, j1}, {i2, j2}
     if pair != other and pair & other:
-        raise PreconditionViolation(
-            f"the last two factors P{i1}{j1} and P{i2}{j2} do not commute"
-        )
+        raise PreconditionViolation(f"the last two factors P{i1}{j1} and P{i2}{j2} do not commute")
 
 
 def _mirror_pairs(n_spins: int) -> Iterator[tuple[int, int]]:
@@ -161,25 +166,12 @@ def _mirror_pairs(n_spins: int) -> Iterator[tuple[int, int]]:
 
 
 def _mirror(block: np.ndarray) -> np.ndarray:
-    """Sector N - k's block of a product of exchange exponentials, from sector k's block.
-
-    The spin flip commutes with every exchange and maps sector k's configurations onto
-    sector N - k's in reverse order. So each factor's map in sector N - k is its map in
-    sector k with the positions reversed, and each entry of the product there comes from
-    the same operations on the same operands: the reversed block is that product bit for
-    bit. The copy is contiguous, so a matrix product taken of it rounds as it would on a
-    block formed directly.
-    """
+    """Sector N - k's block of a product from sector k's: a contiguous copy, which products round as usual."""
     return np.ascontiguousarray(block[::-1, ::-1])
 
 
 def _sector_chain_forms(maps: _SectorMaps, theta: float) -> Iterator[tuple[int, dict]]:
-    """Each sector's down count and its blocks of the three factored forms at coupling theta, by mirror pairs.
-
-    Sector N - k takes sector k's factored and tail-product blocks mirrored; only its
-    tail-sum block is formed again, on the mirrored head, because the tail gate and the
-    order of its sum are not flip-symmetric to the last bit.
-    """
+    """Each sector's down count and its blocks of the three factored forms at coupling theta, by mirror pairs."""
     word = maps.word
     m = len(word.factors)
     states, gate = _tail_sum_gate(word, theta)
@@ -205,9 +197,8 @@ def _sector_chain_forms(maps: _SectorMaps, theta: float) -> Iterator[tuple[int, 
 def _deviation(block: np.ndarray, product: np.ndarray, sign: float) -> float:
     """The largest entry of |block - sign * P|, for P the permutation matrix of the index map product.
 
-    P holds a 1 at (product[x], x) in each column x and 0 elsewhere, so the difference is
-    the block itself off those entries and block - sign on them: bit for bit the dense
-    comparison, without forming P.
+    P holds a 1 at (product[x], x) in each column x and 0 elsewhere, so the difference is the
+    block off those entries and block - sign on them: bit for bit the dense comparison.
     """
     cols = np.arange(product.size)
     mags = np.abs(block)
@@ -250,8 +241,7 @@ class _SectorMaps:
     positions, checked once where it is made: a factor that left its sector or did not
     square to the identity yields no map. products[k] holds the sector's map of the whole
     product and that of the merged tail product, the latter checked the same way. Only index
-    maps and the form deviations found so far are kept, never a block. Each public function
-    builds its own; the bch command builds one for its chain, coupling checks and leakages.
+    maps and the form deviations found so far are kept, never a block.
     """
 
     def __init__(self, word: ExchangeWord):
@@ -299,9 +289,8 @@ class _SectorMaps:
         """Each factored form's largest departure from its sign times the product, sector by sector.
 
         Every single-factor exponential carries the sign, so the factored and tail-sum forms
-        carry sign^m and the tail-product form sign^(m-1). The result is kept per (theta, sign):
-        the coupling check at k = 0, plus_half has theta = pi/2 exactly and sign +1, so it reads
-        the chain's deviations instead of forming the same blocks again.
+        carry sign^m and the tail-product form sign^(m-1). Kept per (theta, sign): the check at
+        k = 0, plus_half has theta = pi/2 exactly and sign +1, and reads the chain's deviations.
         """
         key = (theta, sign)
         if key not in self._deviations:
@@ -317,32 +306,44 @@ class _SectorMaps:
 
 
 def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> dict[str, float]:
-    """Evaluate the closed exponential forms of a word and compare to the plain product.
+    """Each closed exponential form of a word, mapped to its worst entrywise departure from the product.
 
-    Forms, for a word of m factors whose last two commute:
+    Forms, in this order, for a word of m factors whose last two commute:
       * exp_each_factor:  i^m * prod_f exp(-i*(pi/2)*P_f)
       * exp_tail_sum:     i^m * (head exponentials) * exp(-i*(pi/2)*(P_last2 + P_last))
       * exp_tail_product: i^(m-1) * (head exponentials) * exp(-i*(pi/2)*P_last2 @ P_last)
       * exp_hamiltonian:  exp(-i*T*H) with H the uniform polynomial Hamiltonian
-    All four equal the permutation product exactly. The result maps each form, in
-    this order, to its worst entrywise departure from the product actually observed.
-    The first three forms are compared with the product sector by sector,
-    exp_hamiltonian once per cycle length L: on every such cycle H is sum_k c_k S^k
-    for the L-point shift S.
+    All four equal the permutation product exactly. The first three are compared with it
+    sector by sector, exp_hamiltonian once per cycle length L: on every such cycle H is
+    sum_k c_k S^k for the L-point shift S.
     """
     return _SectorMaps(word).chain(timestep)
 
 
 def coupling_variant_check(word: ExchangeWord, k: int, family: str, tol: float = DEFAULT_EQ_TOL) -> bool:
-    """Check the factored forms at coupling (2k + 1/2)*pi or (2k + 3/2)*pi.
+    """Check the factored forms at coupling (2k + 1/2)*pi or (2k + 3/2)*pi, within tol.
 
-    The first family reproduces the permutation product as-is. The second
-    flips the sign of every single-factor exponential, so the expected result
-    is (-1)^m times the product for the factored and tail-sum forms and
-    (-1)^(m-1) times it for the tail-product form (one fewer exponential).
-    The check applies those signs and confirms equality within tol.
+    The first family reproduces the permutation product as-is. The second flips the sign
+    of every single-factor exponential, so the expected result is (-1)^m times the product
+    for the factored and tail-sum forms and (-1)^(m-1) times it for the tail-product form.
     """
     return _SectorMaps(word).coupling_check(k, family, tol)
+
+
+def _unitarity_residual(m: np.ndarray) -> float:
+    """The largest entry of |M M^dagger - I|, or inf or nan where one overflows.
+
+    With M = A + iB, M M^dagger = (A A^T + B B^T) + i(B A^T - (B A^T)^T): three real
+    products instead of one complex one.
+    """
+    a, b = m.real.copy(), m.imag.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = a @ a.T
+        re += b @ b.T
+        re[np.diag_indices_from(re)] -= 1.0
+        im = b @ a.T
+        im -= im.T  # numpy buffers the overlapping operand
+        return float(np.sqrt((re * re + im * im).max()))
 
 
 def superposition_leakage(m) -> float:
@@ -354,8 +355,8 @@ def superposition_leakage(m) -> float:
     unless M is unitary within DEFAULT_UNITARITY_TOL.
     """
     m = as_matrix(m)
-    dev = max_abs_diff(m @ dagger(m), identity(m.shape[0]))
-    if dev > DEFAULT_UNITARITY_TOL:
+    dev = _unitarity_residual(m)
+    if not dev <= DEFAULT_UNITARITY_TOL:
         raise NonUnitaryError(f"matrix is unitary only within {dev:.3e}")
     column_peaks = (np.abs(m) ** 2).max(axis=0)
     return float(min(1.0, max(0.0, (1.0 - column_peaks).max())))
@@ -366,8 +367,7 @@ def perturbation_leakage(word: ExchangeWord, epsilon: Union[float, Sequence[floa
 
     epsilon is one offset for every factor or one per factor. The product is the exact
     permutation product at zero offsets, and any nonzero offset generically leaks weight
-    off it. It is block diagonal over the down-count sectors, so each block is checked
-    for unitarity with the same tolerance and no column's peak lies outside its block:
-    the leakage is the largest of the blocks' leakages.
+    off it. Each down-count sector's block is checked for unitarity, and the leakage is
+    the largest of the blocks' leakages: no column's peak lies outside its block.
     """
     return _SectorMaps(word).leakage(epsilon)

@@ -14,13 +14,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from permlog.bch import (FORM_FACTORED, FORM_HAMILTONIAN, FORM_TAIL_PRODUCT, FORM_TAIL_SUM, _involution,
-                         _require_commuting_tail, _sectors, _tail_sum_gate, _times_exp_tail_sum, _times_exps,
-                         superposition_leakage)
+                         _require_commuting_tail, _sectors, _tail_sum_gate, _times_exps, superposition_leakage)
 from permlog.cogwheel import shift_permutation
 from permlog.dynamics import (ExchangeWord, _cycle_blocks, _cycles_by_length, evolution_permutation,
                               polynomial_matrix, uniform_polynomial_form)
-from permlog.linalg import (DEFAULT_UNITARITY_TOL, DimensionMismatch, InvolutionViolation, as_matrix, expm,
-                            identity, max_abs_diff)
+from permlog.linalg import (DEFAULT_UNITARITY_TOL, DimensionMismatch, InvolutionViolation, as_matrix, dagger,
+                            expm, identity, max_abs_diff)
 from permlog.permutation import Permutation
 from permlog.spins import exchange_permutation, number_down, spinflip
 
@@ -73,6 +72,29 @@ def assemble(blocks, n_spins):
     return out
 
 
+def loop_times_exp_tail_sum(m, idx, states, gate):
+    """m @ exp(-i*theta*(P_last2 + P_last)) on a sector block, one pass per local state of the tail spins.
+
+    For each local state y, every column x whose gate weight gate[y, local(x)] is nonzero
+    adds m[:, rest(x) | states[y]] times that weight, rest(x) being x with the tail spins
+    up: the per-state loop that the library's table of each column's terms replaces.
+    """
+    tail = idx & states[-1]
+    rest, local = idx ^ tail, np.searchsorted(states, tail)
+    out = np.zeros_like(m)
+    for y, state in enumerate(states):
+        weights = gate[y, local]
+        cols = np.flatnonzero(weights)
+        out[:, cols] += m[:, np.searchsorted(idx, rest[cols] | state)] * weights[cols]
+    return out
+
+
+def complex_unitarity_residual(m):
+    """The largest entry of |M M^dagger - I|, from one complex matrix product."""
+    m = as_matrix(m)
+    return max_abs_diff(m @ dagger(m), identity(m.shape[0]))
+
+
 def every_sector_factors(word):
     """Each sector's configurations and the word's factors restricted to it, every sector from its own maps."""
     members, position = _sectors(word.n_spins)
@@ -89,15 +111,16 @@ def every_sector_heads(word, theta):
 def every_sector_chain_forms(word, theta):
     """Each sector's configurations, factors and three factored-form blocks, every sector formed in full.
 
-    The sector-by-sector evaluation without the spin-flip mirror: the library forms one
-    sector of each pair (k, N - k) and mirrors it, and must agree with this bit for bit.
+    The sector-by-sector evaluation without the spin-flip mirror and with the per-state
+    tail-sum loop: the library forms one sector of each pair (k, N - k), mirrors it and
+    tables each column's tail-sum terms, and must agree with this bit for bit.
     """
     m = len(word.factors)
     states, gate = _tail_sum_gate(word, theta)
     for idx, factors, head in every_sector_heads(word, theta):
         yield idx, factors, {
             FORM_FACTORED: (1j**m) * _times_exps(head, factors[-2:], repeat(theta)),
-            FORM_TAIL_SUM: (1j**m) * _times_exp_tail_sum(head, idx, states, gate),
+            FORM_TAIL_SUM: (1j**m) * loop_times_exp_tail_sum(head, idx, states, gate),
             FORM_TAIL_PRODUCT: (1j ** (m - 1)) * _times_exps(head, [_involution(factors[-2][factors[-1]])], [theta]),
         }
 

@@ -28,7 +28,10 @@ from permlog.bch import (
     _require_commuting_tail,
     _sector_chain_forms,
     _sectors,
+    _tail_sum_gate,
+    _times_exp_tail_sum,
     _times_exps,
+    _unitarity_residual,
 )
 from permlog.dynamics import (
     ExchangeWord,
@@ -50,6 +53,7 @@ from permlog.spins import exchange_permutation
 from oracles import (
     assemble,
     bch_series_truncated,
+    complex_unitarity_residual,
     cycle_block_expm,
     dense_perturbed_product,
     dense_times_exp_tail_sum,
@@ -60,6 +64,7 @@ from oracles import (
     every_sector_leakage,
     every_sector_perturbed_blocks,
     exp_involution,
+    loop_times_exp_tail_sum,
 )
 
 CHAIN_TOL = 1e-10
@@ -254,6 +259,37 @@ def test_leakage_half_on_equal_mixer():
 def test_leakage_rejects_non_unitary():
     with pytest.raises(NonUnitaryError):
         superposition_leakage(np.array([[1.0, 0.0], [0.0, 0.5]]))
+
+
+def test_leakage_rejects_a_departure_in_the_imaginary_part_only():
+    # M M^dagger = I + i*[[0, 1], [-1, 0]]: its real part is exactly the identity
+    with pytest.raises(NonUnitaryError):
+        superposition_leakage(np.array([[1, 1j], [-1j, 1]]) / np.sqrt(2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[1e200, 1e200], [1e200, -1e200]],  # finite, but M M^dagger overflows
+        [[1e200 + 1e200j, 0], [0, 1]],  # inf - inf in the imaginary part: a nan residual
+        (1 + 1j) * np.diag([3e153, 1.0]),  # a finite residual whose square overflows
+    ],
+    ids=["overflowing-product", "nan-residual", "overflowing-square"],
+)
+def test_leakage_refuses_residuals_that_are_not_finite(m):
+    with pytest.raises(NonUnitaryError, match="unitary only within (inf|nan)"):
+        superposition_leakage(m)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_real_unitarity_residual_matches_the_complex_product(n):
+    # the three real products against the one complex product they replace, on sector blocks
+    word = mirror_test_word(np.random.default_rng([n, 3]), n)
+    blocks = [block for _, block in every_sector_perturbed_blocks(word, 0.013)]
+    blocks += [form for _, _, forms in every_sector_chain_forms(word, 0.37) for form in forms.values()]
+    for block in blocks:
+        assert abs(_unitarity_residual(block) - complex_unitarity_residual(block)) <= 1e-15
 
 
 def test_leakage_zero_on_phased_permutations():
@@ -506,6 +542,33 @@ def test_tail_sum_blocks_match_dense_contraction(n, tail, theta):
     for k, forms in _sector_chain_forms(_SectorMaps(word), theta):
         idx = _sectors(n)[0][k]
         assert max_abs_diff(forms[FORM_TAIL_SUM], dense[np.ix_(idx, idx)]) <= 1e-15
+
+
+@pytest.mark.parametrize("theta", [np.pi / 2, 3 * np.pi / 2, 0.37])
+@pytest.mark.parametrize("tail", ["disjoint", "repeated"])
+@pytest.mark.parametrize("n", range(4, 12))
+def test_tail_sum_table_equals_the_per_state_loop(n, tail, theta):
+    # each column's terms, tabled and summed row by row, against the loop over the local states
+    word = random_commuting_tail_word(900 + n, tail, n)
+    states, gate = _tail_sum_gate(word, theta)
+    for idx, _, head in every_sector_heads(word, theta):
+        table = _times_exp_tail_sum(head, idx, states, gate)
+        assert table.tobytes() == loop_times_exp_tail_sum(head, idx, states, gate).tobytes()
+
+
+def test_times_exps_leaves_its_argument_unchanged():
+    # the chain forms three products from one head, so no product may write into it; the
+    # in-place update is bit for bit the sum of two fresh temporaries it replaced
+    word = random_commuting_tail_word(0, "disjoint", 6)
+    _, factors, head = every_sector_heads(word, 0.37)[3]
+    before = head.copy()
+    thetas = np.linspace(0.1, 0.9, len(factors))
+    out = _times_exps(head, factors, thetas)
+    assert head.tobytes() == before.tobytes() and out is not head
+    expected = head
+    for q, theta in zip(factors, thetas):
+        expected = np.take(expected, q, axis=1) * (-1j * np.sin(theta)) + np.cos(theta) * expected
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_chain_and_coupling_check_build_no_dense_matrix():
