@@ -19,7 +19,6 @@ from .cogwheel import (
     cogwheel_energies,
     cogwheel_hamiltonian,
     diagonalizer,
-    eigenphases,
     polynomial_coefficients,
     shift_permutation,
     verify_power_identity,
@@ -90,7 +89,6 @@ __all__ = [
     "coupling_variant_check",
     "dagger",
     "diagonalizer",
-    "eigenphases",
     "evolution_permutation",
     "exchange_pauli",
     "exchange_permutation",

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .cogwheel import (
     verify_power_identity,
 )
 from .dynamics import (
+    UntouchedSpinWarning,
     _cycle_blocks,
     _cycles_by_length,
     evolution_permutation,
@@ -303,17 +305,17 @@ def _cmd_cogwheel(args, tol: float) -> dict:
         h = cogwheel_hamiltonian(n, t)
         coeffs = polynomial_coefficients(n, t)
         lam = np.diag(np.exp(-1j * energies * t))
-        reconstructed = polynomial_matrix(shift_permutation(n), coeffs)
+        reconstructed = polynomial_matrix(shift_permutation(n), t * coeffs)  # H-valued checks read T*H, T*h_k
         results["diagonalizer"] = d
         results["hamiltonian"] = h
         results["polynomial_coefficients"] = coeffs
         verifications += [
             _check("diagonalizer_unitary", max_abs_diff(d @ dagger(d), np.eye(n)), DEFAULT_UNITARITY_TOL),
             _check("diagonalization", max_abs_diff(dagger(d) @ u @ d, lam), DEFAULT_UNITARITY_TOL),
-            _check("hamiltonian_self_adjoint", max_abs_diff(h, dagger(h)), DEFAULT_UNITARITY_TOL),
+            _check("hamiltonian_self_adjoint", max_abs_diff(t * h, dagger(t * h)), DEFAULT_UNITARITY_TOL),
             _check("round_trip", max_abs_diff(expm(-1j * h * t), u), tol),
-            _check("coefficients_reconstruct", max_abs_diff(reconstructed, h), tol),
-            _check("coefficients_zero_sum", abs(complex(coeffs.sum())), DEFAULT_UNITARITY_TOL),
+            _check("coefficients_reconstruct", max_abs_diff(reconstructed, t * h), tol),
+            _check("coefficients_zero_sum", abs(complex((t * coeffs).sum())), DEFAULT_UNITARITY_TOL),
         ]
 
     return {
@@ -350,23 +352,24 @@ def _cmd_spin(args, tol: float) -> dict:
     # _cycle_blocks refuses any other nonzero entry and the spinflip, which commutes with every exchange,
     # maps cycles onto cycles. On a length-L cycle both P and the polynomial in P act as the L-shift S,
     # and blocks with equal bytes have the same expm, so the round trip takes one per distinct block.
+    # Every check reads T*H and T*h_k: in units of the tick, scaled before subtracting so nothing overflows.
     tables = _cycles_by_length(perm)
-    blocks = list(zip(tables.values(), _cycle_blocks(h, tables), map(shift_permutation, tables)))
+    blocks = list(zip(tables.values(), [t * b for b in _cycle_blocks(h, tables)], map(shift_permutation, tables)))
     down = number_down(n)
     flip = spinflip(n).map
     period = len(coeffs)
 
-    def commutes(d):  # H D - D H for the diagonal D = diag(d)
+    def commutes(d):  # T(H D - D H) for the diagonal D = diag(d)
         return _max_abs(b * d[rows][:, None] - d[rows][..., None] * b for rows, b, _ in blocks)
     verifications = [
-        _check("round_trip", _max_abs(expm(-1j * t * x) - s.matrix()
+        _check("round_trip", _max_abs(expm(-1j * x) - s.matrix()
                                       for _, b, s in blocks for x in {y.tobytes(): y for y in b}.values()), tol),
         _check("commutes_number_up", commutes(n - down), DEFAULT_UNITARITY_TOL),
         _check("commutes_number_down", commutes(down), DEFAULT_UNITARITY_TOL),
-        _check("commutes_spinflip", _max_abs(b - h[flip[rows][:, :, None], flip[rows][:, None, :]]
+        _check("commutes_spinflip", _max_abs(b - t * h[flip[rows][:, :, None], flip[rows][:, None, :]]
                                              for rows, b, _ in blocks), DEFAULT_UNITARITY_TOL),
         _check("polynomial_matches_blocks",
-               _max_abs(polynomial_matrix(s, coeffs) - b for _, b, s in blocks), tol),
+               _max_abs(polynomial_matrix(s, t * coeffs) - b for _, b, s in blocks), tol),
         _check_bool("power_lcm_identity", (perm**period).is_identity()),
         _check_bool("multiplicities_total", spec.total_multiplicity == perm.size),
     ]
@@ -535,12 +538,25 @@ def _validate(args) -> None:
         raise ValueError("--t must be finite")
 
 
+def _show_warning(show):
+    """A showwarning that prints an UntouchedSpinWarning as one clean stderr line and passes others to show."""
+    def show_warning(message, category, *rest):
+        if issubclass(category, UntouchedSpinWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *rest)
+    return show_warning
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         tol = _resolve_tol(args)
         _validate(args)
-        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **_HANDLERS[args.command](args, tol)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", UntouchedSpinWarning)  # one line per call: each command warns once
+            warnings.showwarning = _show_warning(warnings.showwarning)
+            payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **_HANDLERS[args.command](args, tol)}
         if args.format == "json":
             rendered = _emit_json(payload) + "\n"
         elif args.format == "csv":

@@ -10,14 +10,18 @@ shift with one phased entry per column: column m carries e^{i*phi_m} at row
 so for zero phases the eigenvalue of the shift on eigenvector n is e^{-i*E_n*T}
 and the energies fill [0, 2*pi/T) on a uniform grid. The Hamiltonian returned
 by :func:`cogwheel_hamiltonian` is the unique self-adjoint logarithm on that
-branch: expm(-i*H*T) reproduces the zero-phase shift exactly.
+branch: expm(-i*H*T) reproduces the zero-phase shift exactly. It is a polynomial
+sum_k h_k U^k in the shift, so the circulant H[n, m] = h[(n - m) mod N] of the
+inverse DFT of the energies, which has the closed form (every h_k finite)
+
+    h_0 = pi*(N-1)/(N*T),   h_k = (pi/(N*T)) * (-1 - i*cot(pi*k/N))   for 0 < k < N.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_EQ_TOL, dagger, max_abs_diff
+from .linalg import DEFAULT_EQ_TOL, max_abs_diff
 from .permutation import Permutation
 
 
@@ -89,59 +93,39 @@ def cogwheel_energies(n: int, timestep: float = 1.0, phases=None) -> np.ndarray:
     return energies
 
 
-def eigenphases(n: int) -> np.ndarray:
-    """Phase table a[n, m] = (2*pi/N) * ((n*m) mod N), reduced to [0, 2*pi).
+def diagonalizer(n: int) -> np.ndarray:
+    """Symmetric unitary D with D[n, m] = e^{i*a_nm} / sqrt(N), a_nm = (2*pi/N) * ((n*m) mod N) in [0, 2*pi).
 
-    Row 0 and column 0 vanish, the table is symmetric, and each row advances by
-    E_n*T mod 2*pi from one column to the next; row n collects the phases of
-    eigenvector n of the zero-phase standard form.
+    Row n's phase vanishes at column 0 and advances by E_n*T mod 2*pi per column: row n is
+    the n-th eigenvector of the zero-phase standard form U, so dagger(D) @ U @ D = diag(e^{-i*E_n*T}).
     """
     _check_size(n)
     k = np.arange(n)
-    return (2.0 * np.pi / n) * (np.outer(k, k) % n)
-
-
-def diagonalizer(n: int) -> np.ndarray:
-    """Symmetric unitary D with D[n, m] = e^{i*a_nm} / sqrt(N).
-
-    Column n (equivalently row n) is the n-th eigenvector of the zero-phase
-    standard form U, so dagger(D) @ U @ D = diag(e^{-i*E_n*T}) and the
-    Hamiltonian below is D @ diag(E_n) @ dagger(D).
-    """
-    return np.exp(1j * eigenphases(n)) / np.sqrt(n)
+    return np.exp(1j * ((2.0 * np.pi / n) * (np.outer(k, k) % n))) / np.sqrt(n)
 
 
 def cogwheel_hamiltonian(n: int, timestep: float = 1.0) -> np.ndarray:
     """Self-adjoint H with expm(-i*H*T) equal to the zero-phase standard form.
 
-    H = D @ diag(E_n) @ dagger(D). In closed form the entries are circulant,
-    constant along lines parallel to the diagonal:
-
-        H[n, n] = pi*(N-1)/(N*T)
-        H[n, m] = (pi/(N*T)) * (-1 - i*cot(pi*(n-m)/N))   for n != m
-
-    (the cot argument is never a multiple of pi, so the off-diagonal form is
-    always finite).
+    The circulant H[n, m] = h[(n - m) mod N] of the polynomial coefficients; h[N-k] = conj(h[k]) exactly.
     """
-    _check_timestep(timestep)
-    d = diagonalizer(n)
-    h = (d * cogwheel_energies(n, timestep)) @ dagger(d)
-    return 0.5 * (h + dagger(h))  # exact self-adjointness; removes rounding asymmetry
+    k = np.arange(n)
+    return polynomial_coefficients(n, timestep)[(k[:, None] - k) % n]
 
 
 def polynomial_coefficients(n: int, timestep: float = 1.0) -> np.ndarray:
-    """Coefficients h_0..h_{N-1} with cogwheel_hamiltonian = sum_k h_k U^k.
+    """Coefficients h_0..h_{N-1} with cogwheel_hamiltonian = sum_k h_k U^k; they sum to zero.
 
-    They are the inverse discrete Fourier transform of the energy vector,
-    h_k = (1/N) * sum_n E_n e^{i*E_n*T*k}, and they sum to zero. Raises ValueError if
-    a coefficient is not a finite float: finite energies near the top of the float
-    range can sum past it.
+    h_k for k < N/2 follow the closed form above, h_{N-k} = conj(h_k) exactly, and h_{N/2} = -pi/(N*T). For
+    N >= 2, |h_k| <= pi/(2*T) is below the largest energy, so every accepted timestep gives finite values.
     """
-    energies = cogwheel_energies(n, timestep)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused here, not warned about
-        coeffs = np.fft.ifft(energies)
-    if not np.isfinite(coeffs).all():
-        raise ValueError(
-            f"timestep {float(timestep):g} is out of range: the polynomial coefficients cannot be represented"
-        )
-    return coeffs
+    cogwheel_energies(n, timestep)  # refuses what cannot be represented
+    if n == 1:  # h_0 = 0; pi/T alone can overflow
+        return np.zeros(1, dtype=complex)
+    scale = np.pi / (n * timestep)
+    k = np.arange(1, (n + 1) // 2)
+    h = np.full(n, -scale, dtype=complex)  # the entry left at -scale is h_{N/2}, for even N
+    h[0] = np.pi * (n - 1) / (n * timestep)
+    h[k] = -scale * (1 + 1j / np.tan(np.pi * k / n))
+    h[n - k] = h[k].conj()
+    return h

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from permlog.bch import (FORM_FACTORED, FORM_HAMILTONIAN, FORM_TAIL_PRODUCT, FORM_TAIL_SUM, _involution,
                          _require_commuting_tail, _sectors, _tail_sum_gate, _times_exps, superposition_leakage)
-from permlog.cogwheel import shift_permutation
+from permlog.cogwheel import cogwheel_energies, diagonalizer, shift_permutation
 from permlog.dynamics import (ExchangeWord, _cycle_blocks, _cycles_by_length, evolution_permutation,
                               polynomial_matrix, uniform_polynomial_form)
 from permlog.linalg import (DEFAULT_UNITARITY_TOL, DimensionMismatch, InvolutionViolation, as_matrix, dagger,
@@ -50,6 +50,18 @@ def bch_series_truncated(x, y, order: int) -> np.ndarray:
     if order >= 4:
         z = z - commutator(y, commutator(x, xy)) / 24.0
     return z
+
+
+def dense_cogwheel_hamiltonian(n, timestep=1.0):
+    """D @ diag(E_n) @ dagger(D), symmetrised: the cogwheel logarithm from its eigendecomposition, O(N^3)."""
+    d = diagonalizer(n)
+    h = (d * cogwheel_energies(n, timestep)) @ dagger(d)
+    return 0.5 * (h + dagger(h))
+
+
+def ifft_polynomial_coefficients(n, timestep=1.0):
+    """The polynomial coefficients as the inverse DFT of the energies, h_k = (1/N) sum_n E_n e^{i*E_n*T*k}."""
+    return np.fft.ifft(cogwheel_energies(n, timestep))
 
 
 def exp_involution(p, theta: float, *, unitarity_tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
@@ -192,17 +204,18 @@ def cycle_block_expm(perm, h, scale):
 
 
 def dense_spin_errors(perm, h, coeffs, t):
-    """The five matrix checks of the spin command, each as one dense 2^N x 2^N difference."""
+    """The five matrix checks of the spin command, each as one dense 2^N x 2^N difference of T*H."""
     n = perm.size.bit_length() - 1
     down = number_down(n)
     up = n - down
     flip = spinflip(n).map
+    th = t * h
     return {
-        "round_trip": max_abs_diff(cycle_block_expm(perm, h, -1j * t), perm.matrix()),
-        "commutes_number_up": max_abs_diff(h * up, up[:, None] * h),
-        "commutes_number_down": max_abs_diff(h * down, down[:, None] * h),
-        "commutes_spinflip": max_abs_diff(h[:, flip], h[flip, :]),
-        "polynomial_matches_blocks": max_abs_diff(polynomial_matrix(perm, coeffs), h),
+        "round_trip": max_abs_diff(cycle_block_expm(perm, th, -1j), perm.matrix()),
+        "commutes_number_up": max_abs_diff(th * up, up[:, None] * th),
+        "commutes_number_down": max_abs_diff(th * down, down[:, None] * th),
+        "commutes_spinflip": max_abs_diff(th[:, flip], th[flip, :]),
+        "polynomial_matches_blocks": max_abs_diff(polynomial_matrix(perm, t * coeffs), th),
     }
 
 

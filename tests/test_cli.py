@@ -464,9 +464,30 @@ def test_bch_warns_once_per_call(k_range, capsys):
         warnings.simplefilter("always")
         code = main(["bch", "--n", "5", "--word", "P23 P12 P34", "--k-range", k_range,
                      "--epsilon", "0.01", "--epsilon-sweep", "0:0.05:3", "--format", "json"])
-    capsys.readouterr()
     assert code == 0
-    assert [w.category for w in caught] == [UntouchedSpinWarning]
+    assert capsys.readouterr().err == "warning: word P23 P12 P34 never touches spin(s) [5]\n"
+    assert caught == []  # printed as one clean line, not as a Python warning
+
+
+@pytest.mark.parametrize("command", ["spin", "bch"])
+def test_untouched_spin_is_one_clean_stderr_line(command):
+    # a fresh process: Python's own warning text would carry a source path, a line number and the source line
+    argv = [command, "--n", "5", "--word", "P12 P45", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "permlog.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == "warning: word P12 P45 never touches spin(s) [3]\n"
+    assert json.loads(proc.stdout)["command"] == command
+
+
+def test_other_warnings_pass_through_the_command(capsys, monkeypatch):
+    def warn(args, tol):
+        warnings.warn("something else", RuntimeWarning)
+        return {"inputs": {}, "results": {"energies": []}, "verifications": []}
+
+    monkeypatch.setitem(permlog.cli._HANDLERS, "cogwheel", warn)
+    with pytest.warns(RuntimeWarning, match="something else"):
+        assert main(["cogwheel", "--n", "2", "--format", "csv"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_bch_reference_chain(capsys):
@@ -707,16 +728,52 @@ def test_timestep_with_unrepresentable_energies_is_one_stderr_line(command, t):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["spin", "--n", "4", "--word", "P23 P12 P34", "--t", "4e-308", "--format", "csv"],
-        ["cogwheel", "--n", "5", "--t", "4e-308", "--format", "csv"],
+        ["spin", "--n", "4", "--word", "P23 P12 P34", "--t", "4e-308", "--format", "json"],
+        ["cogwheel", "--n", "5", "--t", "4e-308", "--format", "json"],
     ],
 )
-def test_timestep_with_unrepresentable_coefficients_is_one_stderr_line(argv):
-    # finite energies whose inverse DFT overflows: refused before numpy can warn
+def test_timestep_whose_inverse_dft_overflows_is_verified_with_empty_stderr(argv):
+    # finite energies whose inverse DFT would overflow: the closed-form coefficients stay finite
     proc = subprocess.run([sys.executable, "-m", "permlog.cli", *argv], capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "error: timestep 4e-308 is out of range: the polynomial coefficients cannot be represented\n"
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert all(v["passed"] for v in json.loads(proc.stdout)["verifications"])
+
+
+UNITS_OF_THE_TICK_ARGS = [
+    ["spin", "--n", "4", "--word", "P23 P12 P34"],
+    ["spin", "--n", "9", "--word", "P12 P23 P34 P45 P56 P67 P78 P89"],
+    ["cogwheel", "--n", "6"],
+    ["cogwheel", "--n", "512"],
+]
+
+
+@pytest.mark.parametrize("t", ["4e-308", "1e-300", "1e-8", "1e8", "1e300"])
+@pytest.mark.parametrize("argv", UNITS_OF_THE_TICK_ARGS, ids=lambda argv: f"{argv[0]}-n{argv[2]}")
+def test_every_check_passes_across_the_float_range_of_the_timestep(argv, t, capsys):
+    # H-valued checks compare T*H and T*h_k: energies scale as 1/T, the tolerances do not. Taken on H
+    # itself, correct output failed below T = 1 (at 1e-8 spin's commutes_spinflip read 3.8e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--t", t, "--format", "csv"])
+    assert (code, capsys.readouterr().err) == (0, "")
+
+
+def test_wrong_hamiltonian_fails_at_a_large_timestep(capsys, monkeypatch):
+    # a random H on the cycle blocks, of the size of the true one; its differences from a spinflip-symmetric
+    # polynomial in P are of order 1/T = 1e-20, far below every tolerance unless taken in units of the tick
+    t = 1e20
+    perm = evolution_permutation(parse_word("P23 P12 P34", 4))
+    rng = np.random.default_rng(5)
+    h = np.zeros((perm.size, perm.size), dtype=complex)
+    for cycle in perm.cycles():
+        h[np.ix_(cycle, cycle)] = rng.normal(size=(len(cycle), len(cycle))) / t
+    report = BlockHamiltonianReport(matrix=h, per_length={})
+    monkeypatch.setattr(permlog.cli, "hamiltonian_from_permutation", lambda perm, t: report)
+    code, out = run_cli(["spin", "--n", "4", "--word", "P23 P12 P34", "--t", str(t), "--format", "json"], capsys)
+    failed = {v["name"] for v in json.loads(out)["verifications"] if not v["passed"]}
+    assert code == 1
+    assert {"commutes_spinflip", "polynomial_matches_blocks"} <= failed
 
 
 def test_bad_word_is_usage_error(capsys):

@@ -8,12 +8,12 @@ from permlog.cogwheel import (
     cogwheel_energies,
     cogwheel_hamiltonian,
     diagonalizer,
-    eigenphases,
     polynomial_coefficients,
     shift_permutation,
     verify_power_identity,
 )
 from permlog.linalg import DEFAULT_UNITARITY_TOL, dagger, expm, is_permutation_matrix, max_abs_diff
+from oracles import dense_cogwheel_hamiltonian, ifft_polynomial_coefficients
 
 C4 = (-1 + 1j) / 3
 D4 = -1.0 / 3.0
@@ -156,41 +156,6 @@ def test_energy_spacing_is_uniform(n):
     assert np.allclose(np.diff(e), 2 * np.pi / (n * t), atol=1e-12)
 
 
-# --- eigenphases ------------------------------------------------------------
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
-def test_eigenphase_border_is_zero(n):
-    a = eigenphases(n)
-    assert np.all(a[0, :] == 0.0)
-    assert np.all(a[:, 0] == 0.0)
-
-
-def test_eigenphase_values_four_states():
-    a = eigenphases(4)
-    assert a[1, 1] == pytest.approx(np.pi / 2)
-    assert a[1, 2] == pytest.approx(np.pi)
-    assert a[2, 2] == 0.0  # 2*pi reduced
-    assert np.all((0.0 <= a) & (a < 2 * np.pi))
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_eigenphase_symmetry(n):
-    a = eigenphases(n)
-    assert np.array_equal(a, a.T)
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 7])
-def test_eigenphase_recursion(n):
-    # each row advances by its energy per column, modulo a full turn
-    a = eigenphases(n)
-    e = cogwheel_energies(n, 1.0)
-    for row in range(n):
-        for col in range(n - 1):
-            step = np.exp(1j * (a[row, col] + e[row]))
-            assert step == pytest.approx(np.exp(1j * a[row, col + 1]), abs=1e-12)
-
-
 # --- diagonalizer -----------------------------------------------------------
 
 
@@ -201,6 +166,36 @@ def test_diagonalizer_one_state():
 def test_diagonalizer_two_states():
     expected = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     assert max_abs_diff(diagonalizer(2), expected) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+def test_diagonalizer_phase_border_is_zero(n):
+    a = np.angle(diagonalizer(n))
+    assert np.all(a[0, :] == 0.0)
+    assert np.all(a[:, 0] == 0.0)
+
+
+def test_diagonalizer_values_four_states():
+    d = 2 * diagonalizer(4)
+    assert d[1, 1] == pytest.approx(1j)  # phase pi/2
+    assert d[1, 2] == pytest.approx(-1.0)  # phase pi
+    assert d[2, 2] == 1.0  # phase 2*pi, reduced to 0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_diagonalizer_symmetry(n):
+    d = diagonalizer(n)
+    assert np.array_equal(d, d.T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_diagonalizer_phase_recursion(n):
+    # each row advances by its energy per column, modulo a full turn
+    d = diagonalizer(n)
+    e = cogwheel_energies(n, 1.0)
+    for row in range(n):
+        for col in range(n - 1):
+            assert d[row, col] * np.exp(1j * e[row]) == pytest.approx(d[row, col + 1], abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -310,6 +305,20 @@ def test_coefficients_reconstruct_hamiltonian(n):
     coeffs = polynomial_coefficients(n)
     rebuilt = sum(coeffs[k] * np.linalg.matrix_power(u, k) for k in range(n))
     assert max_abs_diff(rebuilt, cogwheel_hamiltonian(n)) <= 1e-10
+
+
+ORACLE_SIZES = [*range(1, 65), 100, 256, 1024]
+ORACLE_TIMESTEPS = [1.0, 0.37, 2.5]
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_closed_forms_match_the_dense_and_ifft_oracles(n):
+    for t in ORACLE_TIMESTEPS:
+        h, coeffs = cogwheel_hamiltonian(n, t), polynomial_coefficients(n, t)
+        assert np.abs(h - dense_cogwheel_hamiltonian(n, t)).max() * t <= 1e-14
+        assert np.abs(coeffs - ifft_polynomial_coefficients(n, t)).max() * t <= 1e-14
+        assert np.array_equal(h, h.conj().T)  # exactly self-adjoint, with no symmetrisation
+        assert abs(coeffs.sum()) * t <= 1e-14
 
 
 def test_zero_sum_identity_for_four_state_constants():

@@ -513,10 +513,11 @@ NEAR_FLOAT_LIMITS = np.concatenate([[2.4256401888576345e-308], np.geomspace(1e-3
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_coefficients_near_the_float_range_are_refused_or_exact(n):
-    # finite energies near the top of the float range can sum past it in the inverse DFT:
-    # such a timestep is refused, without a numpy warning, and every other keeps its arithmetic
-    refused = 0
+def test_coefficients_near_the_float_range_are_finite_wherever_the_energies_are(n):
+    # the closed form never sums energies: every |h_k| <= pi/(2T) stays below the largest energy,
+    # so each timestep cogwheel_energies accepts has finite coefficients, with no numpy warning,
+    # and they stay within 1e-14/T of the inverse DFT wherever that one does not overflow
+    compared = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t in NEAR_FLOAT_LIMITS:
@@ -524,16 +525,14 @@ def test_coefficients_near_the_float_range_are_refused_or_exact(n):
                 energies = cogwheel_energies(n, t)
             except ValueError:
                 continue
-            try:
-                coeffs = polynomial_coefficients(n, t)
-            except ValueError as exc:
-                assert str(exc) == f"timestep {t:g} is out of range: the polynomial coefficients cannot be represented"
-                refused += 1
-                continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert coeffs.tobytes() == np.fft.ifft(energies).tobytes()
+            coeffs = polynomial_coefficients(n, t)
             assert np.isfinite(coeffs).all()
-    assert (refused > 0) == (n >= 3)  # one or two energies sum without overflow here
+            with np.errstate(over="ignore", invalid="ignore"):
+                ifft = np.fft.ifft(energies)
+            if np.isfinite(ifft).all():
+                assert np.abs(coeffs - ifft).max() * t <= 1e-14
+                compared += 1
+    assert compared > 0
 
 
 @pytest.mark.parametrize("bad", [np.inf, 0.0, -1.0, np.nan])

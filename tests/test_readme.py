@@ -30,7 +30,8 @@ def test_exports_are_the_public_names():
     exec("from permlog import *", namespace)
     assert set(permlog.__all__) <= set(namespace)
     # names that only the tests used are gone; the generic series and commutator live in tests/oracles.py
-    for name in ("bch_series_truncated", "commutator", "CogwheelSpectrum", "PerturbationConfig", "BchChainResult"):
+    for name in ("bch_series_truncated", "commutator", "CogwheelSpectrum", "PerturbationConfig", "BchChainResult",
+                 "eigenphases"):
         assert not hasattr(permlog, name)
     for name in ("spin_down", "spin_value", "up_count", "down_count", "flipped"):
         assert not hasattr(permlog.SpinConfiguration, name)
