@@ -262,8 +262,8 @@ class _SectorMaps:
     def chain(self, timestep: float) -> dict[str, float]:
         """:func:`bch_chain` of the word."""
         word = self.word
+        perm = evolution_permutation(word)  # first, so a word refused below still warns of untouched spins
         _require_commuting_tail(word)
-        perm = evolution_permutation(word)
         coeffs = uniform_polynomial_form(perm, timestep)
         deviations = dict(self._form_deviations(np.pi / 2, 1.0))  # a copy: the kept ones stay three forms
         shifts = [shift_permutation(length) for length in sorted(set(perm.cycle_lengths()))]

@@ -219,24 +219,17 @@ class SpectrumReport:
 
 
 def spectrum(perm: Permutation, timestep: float = 1.0) -> SpectrumReport:
-    """Exact spectrum of the assembled Hamiltonian, by analytic bookkeeping.
+    """Exact spectrum of the assembled Hamiltonian, by analytic bookkeeping from the cycle lengths.
 
-    A cycle of length L contributes the cogwheel energies 2*pi*n/(L*T), n = 0..L-1.
-    Levels from different cycles are merged by the exact rational n/L, so no float
-    comparison is involved; no numerical diagonalization is performed.
+    A cycle of length L contributes the cogwheel energies 2*pi*n/(L*T), n = 0..L-1, so the
+    levels are the fractions n/L. A level a/b in lowest terms lies on exactly the cycles whose
+    length b divides, once each: n/L = a/b needs b | L, and then n = a*L/b is the one solution.
+    Its provenance is those cycles' indices in cycles(), and its multiplicity is their count.
+    Levels are exact rationals, so no float comparison and no diagonalization is involved.
     """
-    groups = _cycles_by_length(perm)
-    starts = np.sort(np.concatenate([rows[:, 0] for rows in groups.values()]))
-    sources: dict[Fraction, list[int]] = {}  # each level's contributing cycles, by index in cycles()
-    for length, rows in groups.items():
-        indices = np.searchsorted(starts, rows[:, 0]).tolist()  # cycles() is sorted by first member
-        for n in range(length):  # a cycle's levels n/L are distinct, so it contributes once to each
-            sources.setdefault(Fraction(n, length), []).extend(indices)
-    fractions = sorted(sources)
+    lengths = np.array([len(cycle) for cycle in perm.cycles()])
+    fractions = sorted({Fraction(n, length) for length in set(lengths.tolist()) for n in range(length)})
     grids = {q: cogwheel_energies(q, timestep) for q in {f.denominator for f in fractions}}
     energies = tuple(float(grids[f.denominator][f.numerator]) for f in fractions)
-    provenance = tuple(tuple(sorted(sources[f])) for f in fractions)
-    mults = tuple(len(cycles) for cycles in provenance)
-    return SpectrumReport(
-        distinct_energies=energies, multiplicities=mults, block_provenance=provenance
-    )
+    provenance = tuple(tuple(np.flatnonzero(lengths % f.denominator == 0).tolist()) for f in fractions)
+    return SpectrumReport(energies, tuple(map(len, provenance)), provenance)

@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import permlog.cli
+import permlog.cogwheel
 from permlog.cli import COGWHEEL_CAP, MAX_SWEEP_STEPS, _emit_json, _fmt_complex, _fmt_matrix, main
+from permlog.cogwheel import polynomial_coefficients, shift_permutation
 from permlog.dynamics import (
     BlockHamiltonianReport,
     UntouchedSpinWarning,
     evolution_permutation,
     hamiltonian_from_permutation,
     parse_word,
+    polynomial_matrix,
     uniform_polynomial_form,
 )
 from permlog.linalg import expm, max_abs_diff
@@ -250,6 +253,22 @@ def test_cogwheel_with_phases_skips_hamiltonian(capsys):
     assert "power_identity" in names
 
 
+def test_cogwheel_coefficients_reconstruct_fails_on_wrong_coefficients(capsys, monkeypatch):
+    # conj(h_k) are the coefficients of the inverse shift's logarithm; patched into both modules, H is
+    # still their circulant, so the polynomial in the shift equals T*H exactly and only D diag(T*E) D^dagger differs
+    def wrong(n, timestep=1.0):
+        return polynomial_coefficients(n, timestep).conj()
+
+    for module in (permlog.cogwheel, permlog.cli):
+        monkeypatch.setattr(module, "polynomial_coefficients", wrong)
+    reconstructed = polynomial_matrix(shift_permutation(4), 0.37 * wrong(4, 0.37))
+    assert max_abs_diff(reconstructed, 0.37 * permlog.cogwheel.cogwheel_hamiltonian(4, 0.37)) == 0.0
+    code, out = run_cli(["cogwheel", "--n", "4", "--t", "0.37", "--format", "json"], capsys)
+    assert code == 1
+    failed = [v["name"] for v in json.loads(out)["verifications"] if not v["passed"]]
+    assert "coefficients_reconstruct" in failed
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -469,14 +488,21 @@ def test_bch_warns_once_per_call(k_range, capsys):
     assert caught == []  # printed as one clean line, not as a Python warning
 
 
-@pytest.mark.parametrize("command", ["spin", "bch"])
-def test_untouched_spin_is_one_clean_stderr_line(command):
+@pytest.mark.parametrize("argv, code, untouched", [
+    pytest.param(["spin", "--n", "5", "--word", "P12 P45"], 0, [3], id="spin"),
+    pytest.param(["bch", "--n", "5", "--word", "P12 P45"], 0, [3], id="bch"),
+    # the chain refuses a non-commuting tail and a single factor, after the word has been checked for untouched spins
+    pytest.param(["bch", "--n", "5", "--word", "P12 P23", "--epsilon", "0.1"], 1, [4, 5], id="bch-P12 P23"),
+    pytest.param(["bch", "--n", "3", "--word", "P12", "--epsilon", "0.1"], 1, [3], id="bch-P12"),
+    pytest.param(["bch", "--n", "5", "--word", "P12 P34", "--epsilon", "0.1"], 0, [5], id="bch-P12 P34"),
+])
+def test_untouched_spin_is_one_clean_stderr_line(argv, code, untouched):
     # a fresh process: Python's own warning text would carry a source path, a line number and the source line
-    argv = [command, "--n", "5", "--word", "P12 P45", "--format", "json"]
+    argv = [*argv, "--format", "json"]
     proc = subprocess.run([sys.executable, "-m", "permlog.cli", *argv], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stderr == "warning: word P12 P45 never touches spin(s) [3]\n"
-    assert json.loads(proc.stdout)["command"] == command
+    assert proc.returncode == code
+    assert proc.stderr == f"warning: word {argv[4]} never touches spin(s) {untouched}\n"
+    assert json.loads(proc.stdout)["command"] == argv[0]
 
 
 def test_other_warnings_pass_through_the_command(capsys, monkeypatch):

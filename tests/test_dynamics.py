@@ -460,7 +460,7 @@ def assert_matches_per_cycle_reference(perm, t):
         assert np.array_equal(report.matrix[np.ix_(cycle, cycle)], block)
 
 
-@given(random_words(), st.sampled_from([1.0, 0.37, 2.5]))
+@given(random_words(), st.sampled_from([1.0, 0.37, 2.5, 1e-300, 1e300]))
 @settings(max_examples=40, deadline=None)
 def test_grouped_blocks_equal_per_cycle_reference_on_random_words(w, t):
     with warnings.catch_warnings():
@@ -469,7 +469,7 @@ def test_grouped_blocks_equal_per_cycle_reference_on_random_words(w, t):
     assert_matches_per_cycle_reference(perm, t)
 
 
-@pytest.mark.parametrize("t", [1.0, 0.37, 2.5])
+@pytest.mark.parametrize("t", [1.0, 0.37, 2.5, 1e-300, 1e300])
 @pytest.mark.parametrize(
     "perm",
     [Permutation.identity(8), evolution_permutation(word("P12", 2)), Permutation((1, 0, 3, 4, 5, 2))],
@@ -498,12 +498,22 @@ def test_every_timestep_entry_point_refuses_unrepresentable_energies(reference_p
                 call()
 
 
+SPIN_CAP_WORDS = {  # the shift word and the covering word that CI runs at n = 12, with their cycle lengths
+    "(1 2)(2 3)(3 4)(4 5)(5 6)(6 7)(7 8)(8 9)(9 10)(10 11)(11 12)": {1, 2, 3, 4, 6, 12},
+    "(1 2)(2 3)(3 4)(4 5)(5 6)(6 7)(7 8)(8 9)(9 10)(10 11)(11 12)(1 2)(3 4)": {1, 2, 5, 10},
+}
+
+
 @pytest.mark.parametrize("t", [1e-300, 1e300])
 def test_energies_near_the_float_range_keep_their_arithmetic(reference_perm, t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.array_equal(cogwheel_energies(4, t), (2.0 * np.pi * np.arange(4) - 0.0) / (4 * t))
         levels = spectrum(reference_perm, t).distinct_energies
+        for text, lengths in SPIN_CAP_WORDS.items():  # spectrum only: the per-cycle H would be dense 4096 x 4096
+            perm = evolution_permutation(parse_word(text, 12))
+            assert set(perm.cycle_lengths()) == lengths
+            assert spectrum(perm, t) == per_cycle_spectrum(perm, t)
     assert levels == tuple(2.0 * np.pi * f.numerator / (f.denominator * t) for f in
                            (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
 

@@ -17,6 +17,12 @@ forms replaced the dense D diag(E) D^dagger product and the inverse FFT; the CSV
 documents kept their bytes. Those two constructions stay in `oracles.py`, and
 the anchor test below reruns every case with them patched in: each document may
 differ from that run only in its numbers, each by at most 1e-14 * max(1, 1/T).
+
+The `cogwheel` documents that show `coefficients_reconstruct` (`cogwheel-n4.json`,
+`cogwheel-n4.pretty` and the `cogwheel --n 37` JSON and pretty digests) were
+regenerated again when that check stopped comparing the polynomial in the shift
+with the circulant of the same coefficients, which read exactly 0, and began
+comparing it with the spectral form D diag(T*E) D^dagger; only that error changed.
 """
 
 import hashlib
