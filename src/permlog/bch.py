@@ -276,6 +276,8 @@ class _SectorMaps:
         """:func:`coupling_variant_check` of the word."""
         if family not in COUPLING_FAMILIES:
             raise ValueError(f"family must be one of {COUPLING_FAMILIES}, got {family!r}")
+        if not isinstance(k, (int, np.integer)):  # exp(-i*(theta + 2*pi*k)*P) = exp(-i*theta*P) needs an integer k
+            raise ValueError(f"k must be an integer, got {k!r}")
         _require_commuting_tail(self.word)
         theta = (2 * k + (0.5 if family == "plus_half" else 1.5)) * np.pi
         sign = 1.0 if family == "plus_half" else -1.0

@@ -24,6 +24,8 @@ import numpy as np
 
 from .bch import COUPLING_FAMILIES, PreconditionViolation, _SectorMaps
 from .cogwheel import (
+    _check_positive,
+    _check_size,
     build_standard_form,
     cogwheel_energies,
     cogwheel_hamiltonian,
@@ -52,7 +54,7 @@ from .linalg import (
     is_permutation_matrix,
     max_abs_diff,
 )
-from .spins import SPIN_CAP, SpinConfiguration, four_spin_state_label, number_down, spinflip
+from .spins import SPIN_CAP, SpinConfiguration, _check_spin_count, four_spin_state_label, number_down, spinflip
 
 SCHEMA_VERSION = 1
 TOL_ENV_VAR = "PERMLOG_TOL"
@@ -517,26 +519,20 @@ def _resolve_tol(args) -> float:
         tol = _parse_number(TOL_ENV_VAR, os.environ[TOL_ENV_VAR])
     else:
         tol = DEFAULT_EQ_TOL
-    if not tol > 0:
-        raise ValueError("tolerance must be strictly positive")
-    if not np.isfinite(tol):
-        raise ValueError("tolerance must be finite")
+    _check_positive(tol, "tolerance")
     return tol
 
 
 def _validate(args) -> None:
-    """The --n and --t checks every command shares, made before any work."""
+    """The --n and --t checks every command shares, made before any work by the library's own checkers
+    (cogwheel._check_size, spins._check_spin_count, cogwheel._check_positive) with the flag's name."""
     if args.command == "cogwheel":
-        if args.n < 1:
-            raise ValueError("--n must be a positive integer")
+        _check_size(args.n, "--n")
         if args.n > COGWHEEL_CAP:
             raise ValueError(f"--n must be at most {COGWHEEL_CAP}")
-    elif not 2 <= args.n <= SPIN_CAP:
-        raise ValueError(f"--n must be in 2..{SPIN_CAP}")
-    if not args.t > 0:
-        raise ValueError("--t must be positive")
-    if not np.isfinite(args.t):
-        raise ValueError("--t must be finite")
+    else:
+        _check_spin_count(args.n, 2, "--n")
+    _check_positive(args.t, "--t")
 
 
 def _show_warning(show):

@@ -37,16 +37,16 @@ def _phase_vector(n: int, phases) -> np.ndarray:
     return ph
 
 
-def _check_size(n: int) -> None:
-    if n < 1:
-        raise ValueError("size must be a positive integer")
+def _check_size(n: int, name: str = "size") -> None:
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"{name} must be a positive integer")
 
 
-def _check_timestep(t: float) -> None:
-    if not t > 0:
-        raise ValueError("timestep must be positive")
-    if t == np.inf:
-        raise ValueError("timestep must be finite")
+def _check_positive(value: float, name: str = "timestep") -> None:
+    if not value > 0:  # NaN and -inf too
+        raise ValueError(f"{name} must be positive")
+    if value == np.inf:
+        raise ValueError(f"{name} must be finite")
 
 
 def shift_permutation(n: int) -> Permutation:
@@ -84,7 +84,7 @@ def cogwheel_energies(n: int, timestep: float = 1.0, phases=None) -> np.ndarray:
     energies overflow, and an N*T past the float range would flush every one to 0.
     """
     _check_size(n)
-    _check_timestep(timestep)
+    _check_positive(timestep)
     ph = _phase_vector(n, phases)
     with np.errstate(over="ignore"):  # refused here, not warned about
         energies = (2.0 * np.pi * np.arange(n) - ph.sum()) / (n * timestep)

@@ -14,10 +14,11 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
-from .cogwheel import _check_timestep, cogwheel_energies, cogwheel_hamiltonian, polynomial_coefficients
+from .cogwheel import cogwheel_energies, cogwheel_hamiltonian, polynomial_coefficients
 from .permutation import Permutation
 from .spins import _check_pair, _check_spin_count, exchange_permutation
 
@@ -104,10 +105,8 @@ def evolution_permutation(word: ExchangeWord) -> Permutation:
             UntouchedSpinWarning,
             stacklevel=2,
         )
-    perm = Permutation.identity(1 << word.n_spins)
-    for i, j in word.factors:  # left factor composes on the left = acts last
-        perm = perm * exchange_permutation(word.n_spins, i, j)
-    return perm
+    # (p * q).map is p.map[q.map]: the left factor composes on the left and acts last
+    return Permutation(reduce(np.take, [exchange_permutation(word.n_spins, i, j).map for i, j in word.factors]))
 
 
 @dataclass(frozen=True)
@@ -169,11 +168,10 @@ def hamiltonian_from_permutation(perm: Permutation, timestep: float = 1.0) -> Bl
     embedded on its span; fixed points carry energy zero. Cycles start at their
     smallest member, which fixes the (gauge) choice of cogwheel origin.
     """
-    _check_timestep(timestep)
+    tables = _cycles_by_length(perm)
+    per_length = {length: cogwheel_hamiltonian(length, timestep) for length in tables}  # refuses a bad T before H
     h = np.zeros((perm.size, perm.size), dtype=complex)
-    per_length = {}
-    for length, rows in _cycles_by_length(perm).items():
-        per_length[length] = cogwheel_hamiltonian(length, timestep)
+    for length, rows in tables.items():
         h[rows[:, :, None], rows[:, None, :]] = per_length[length]
     return BlockHamiltonianReport(matrix=h, per_length=per_length)
 

@@ -21,14 +21,17 @@ class Permutation:
     map: np.ndarray
 
     def __post_init__(self):
+        given = np.asarray(self.map)
         try:
-            entries = np.array(self.map, dtype=np.intp)
+            entries = given.astype(np.intp)
         except OverflowError:  # an entry beyond the index range cannot be a point
             raise ValueError("map is not a bijection on 0..n-1") from None
         if entries.ndim != 1:
             raise ValueError(f"map must be one-dimensional, got shape {entries.shape}")
-        if entries.size == 0:
+        if entries.size == 0:  # before the dtype: an empty sequence reads as floats
             raise ValueError("a permutation needs at least one point")
+        if given.dtype.kind in "bfc":
+            raise ValueError("map entries must be integers")
         if not np.array_equal(np.sort(entries), np.arange(entries.size)):
             raise ValueError("map is not a bijection on 0..n-1")
         entries.flags.writeable = False

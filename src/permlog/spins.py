@@ -26,9 +26,9 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _BIT_TO_SPIN = str.maketrans("01", "ud")  # up = 0, down = 1
 
-def _check_spin_count(n_spins: int, minimum: int = 1) -> None:
-    if not minimum <= n_spins <= SPIN_CAP:
-        raise ValueError(f"spin count must be in {minimum}..{SPIN_CAP}, got {n_spins}")
+def _check_spin_count(n_spins: int, minimum: int = 1, name: str = "spin count") -> None:
+    if not (isinstance(n_spins, (int, np.integer)) and minimum <= n_spins <= SPIN_CAP):
+        raise ValueError(f"{name} must be in {minimum}..{SPIN_CAP}, got {n_spins}")
 
 
 def _check_pair(n_spins: int, i: int, j: int) -> None:

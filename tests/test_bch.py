@@ -187,6 +187,8 @@ def test_three_half_family_flips_the_product_sign(reference_word):
 def test_coupling_variant_rejects_unknown_family(reference_word):
     with pytest.raises(ValueError):
         coupling_variant_check(reference_word, 0, "plus_two")
+    with pytest.raises(ValueError, match="^k must be an integer, got 0.5$"):
+        coupling_variant_check(reference_word, 0.5, "plus_half")
 
 
 # --- generic commutator series ------------------------------------------------------

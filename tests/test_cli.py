@@ -272,6 +272,7 @@ def test_cogwheel_coefficients_reconstruct_fails_on_wrong_coefficients(capsys, m
 @pytest.mark.parametrize(
     "args, message",
     [
+        (["--n", "0"], "--n must be a positive integer"),
         (["--n", str(COGWHEEL_CAP + 1)], f"--n must be at most {COGWHEEL_CAP}"),
         (["--n", "3", "--phases", "1,2,"], "each --phases value must be a number, got ''"),
     ],
@@ -715,6 +716,9 @@ NON_FINITE_INPUTS = {  # environment, arguments, the one stderr line
     "env": ({"PERMLOG_TOL": "inf"}, [], "error: tolerance must be finite"),
     "env_text": ({"PERMLOG_TOL": "abc"}, [], "error: PERMLOG_TOL must be a number, got 'abc'"),
     "t": ({}, ["--t", "inf"], "error: --t must be finite"),
+    "tol_zero": ({}, ["--tol", "0"], "error: tolerance must be positive"),
+    "t_zero": ({}, ["--t", "0"], "error: --t must be positive"),
+    "t_nan": ({}, ["--t", "nan"], "error: --t must be positive"),
 }
 
 
@@ -809,8 +813,12 @@ def test_bad_word_is_usage_error(capsys):
 
 
 def test_spin_cap_is_usage_error(capsys):
-    code = main(["spin", "--n", "13", "--word", "P12"])
-    assert code == 2
+    for command, n in [("spin", "13"), ("spin", "1"), ("bch", "13"), ("bch", "1")]:
+        code = main([command, "--n", n, "--word", "P12"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --n must be in 2..12, got {n}\n"
 
 
 def test_bad_timestep_is_usage_error(capsys):

@@ -72,6 +72,8 @@ def test_standard_form_places_phases_by_column():
 def test_standard_form_validates_input():
     with pytest.raises(ValueError):
         build_standard_form(0)
+    with pytest.raises(ValueError, match="^size must be a positive integer$"):
+        shift_permutation(2.5)
     with pytest.raises(ValueError):
         build_standard_form(3, [0.0, 0.0])
 

@@ -98,6 +98,8 @@ def test_word_validation():
         ExchangeWord(n_spins=4, factors=())
     with pytest.raises(ValueError):
         ExchangeWord(n_spins=4, factors=((1, 5),))
+    with pytest.raises(ValueError, match=r"^spin count must be in 2\.\.12, got 2\.5$"):
+        ExchangeWord(n_spins=2.5, factors=((1, 2),))
     with pytest.raises(ValueError):
         ExchangeWord(n_spins=4, factors=((2, 2),))
 

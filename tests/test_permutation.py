@@ -91,17 +91,27 @@ def test_equal_permutations_compare_and_hash_equal():
     assert a != (1, 0, 2)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        (), np.array([], dtype=int), ((0, 1), (1, 0)), np.eye(2, dtype=int),
-        (0, 0, 1), (0, 1, 3), (-1, 0), (2**70, 0),
-    ],
-    ids=["empty", "empty-array", "2d-tuple", "2d-array", "duplicate", "out-of-range", "negative", "beyond-intp"],
+EMPTY, FLAT, BIJECTION, INTEGERS = (
+    "a permutation needs at least one point", "map must be one-dimensional", "map is not a bijection on 0..n-1",
+    "map entries must be integers",
 )
-def test_bad_input_is_refused(bad):
-    with pytest.raises(ValueError):
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((), EMPTY), (np.array([], dtype=int), EMPTY), (((0, 1), (1, 0)), FLAT), (np.eye(2, dtype=int), FLAT),
+        ((0, 0, 1), BIJECTION), ((0, 1, 3), BIJECTION), ((-1, 0), BIJECTION), ((2**70, 0), BIJECTION),
+        ((0.5, 1.5), INTEGERS), ((True, False), INTEGERS),
+    ],
+    ids=["empty", "empty-array", "2d-tuple", "2d-array", "duplicate", "out-of-range", "negative", "beyond-intp",
+         "floats", "bools"],
+)
+def test_bad_input_is_refused(bad, message):
+    # an empty sequence reads as floats, so its refusal shows that the size is checked before the dtype
+    with pytest.raises(ValueError) as err:
         Permutation(bad)
+    assert str(err.value).startswith(message)
 
 
 def test_public_results_are_python_ints():

@@ -7,6 +7,9 @@ import types
 from pathlib import Path
 
 import permlog
+from permlog.cli import COGWHEEL_CAP, MAX_SWEEP_STEPS
+from permlog.linalg import DEFAULT_EQ_TOL
+from permlog.spins import SPIN_CAP
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +42,12 @@ def test_exports_are_the_public_names():
     assert list(inspect.signature(permlog.superposition_leakage).parameters) == ["m"]
     assert list(inspect.signature(permlog.perturbation_leakage).parameters) == ["word", "epsilon"]
     assert list(inspect.signature(permlog.Permutation.matrix).parameters) == ["self"]
+
+
+def test_readme_limits_are_the_code_constants():
+    text = " ".join(README.read_text(encoding="utf-8").split())  # a line break reads as a space
+    assert f"`cogwheel --n` is capped at {COGWHEEL_CAP}" in text
+    assert f"`bch --k-range` must be in 0..{(MAX_SWEEP_STEPS - 2) // 4}" in text
+    assert f"`--epsilon-sweep` takes at most {MAX_SWEEP_STEPS} steps" in text
+    assert f"tolerance is `{DEFAULT_EQ_TOL:g}`" in text
+    assert f"the spin count is capped at {SPIN_CAP}" in text
