@@ -25,7 +25,9 @@ mirror pairs (k, N - k): products are formed in sector k, and sector N - k takes
 a contiguous reversed copy, bit for bit its own. Every comparison, unitarity
 check and leakage still runs on every sector; the merged tail sum is formed on
 the mirrored head, as its gate and sum order are not flip-symmetric to the last
-bit. A word's sector index maps are built and checked once per command.
+bit. A word's sector index maps are built and checked once per command: each is
+the exchange rule applied to a sector's ascending configurations, every image
+located among them by np.searchsorted, the one lookup the merged tail sum uses too.
 
 Perturbing the pi/2 couplings breaks the closed forms: the product stops being
 a phased permutation, quantified by :func:`superposition_leakage`.
@@ -56,7 +58,7 @@ from .linalg import (
     identity,
     max_abs_diff,
 )
-from .spins import exchange_permutation, number_down
+from .spins import exchange_configurations, exchange_permutation, number_down
 
 FORM_FACTORED = "exp_each_factor"
 FORM_TAIL_SUM = "exp_tail_sum"
@@ -71,24 +73,22 @@ class PreconditionViolation(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _sectors(n_spins: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The configurations with k down spins for k = 0..N, ascending, and each one's sector position.
+def _sectors(n_spins: int) -> tuple[np.ndarray, ...]:
+    """The configurations with k down spins for k = 0..N, ascending.
 
     Cached per spin count (at most SPIN_CAP - 1 entries); the arrays are read-only."""
     counts = number_down(n_spins)
     order = np.argsort(counts, kind="stable")
     members = tuple(np.split(order, np.cumsum(np.bincount(counts))[:-1]))
-    position = np.empty(order.size, dtype=np.intp)
     for idx in members:
-        position[idx] = np.arange(idx.size)
-    for a in (*members, position):
-        a.flags.writeable = False
-    return members, position
+        idx.flags.writeable = False
+    return members
 
 
 def _involution(q: np.ndarray) -> np.ndarray:
-    """q made read-only, once checked to be an involution of 0..q.size-1 (and so a bijection of it)."""
-    if q.min() < 0 or q.max() >= q.size or not np.array_equal(q[q], np.arange(q.size)):
+    """q made read-only, once checked along its last axis to be an involution of 0..n-1 (so a bijection of it)."""
+    n = q.shape[-1]
+    if q.min() < 0 or q.max() >= n or not (np.take_along_axis(q, q, axis=-1) == np.arange(n)).all():
         raise InvolutionViolation("the sector map is not an involution of its sector")
     q.flags.writeable = False
     return q
@@ -98,10 +98,9 @@ def _times_exps(m: np.ndarray, factors: Sequence[np.ndarray], thetas: Iterable[f
     """m @ exp(-i*theta_1*P_1) @ exp(-i*theta_2*P_2) @ ..., one column gather per involution map P_f.
 
     exp(-i*theta*P) = cos(theta)*I - i*sin(theta)*P, and (m @ P)[:, x] = m[:, P(x)],
-    so each factor costs O(dim^2) instead of a dense O(dim^3) matrix product. m is copied
-    once, as callers reuse it; each factor then allocates only its gather.
+    so each factor costs O(dim^2) instead of a dense O(dim^3) matrix product. m is scaled
+    in place, so a caller that reuses it passes a copy; each factor allocates only its gather.
     """
-    m = m.copy()
     for q, theta in zip(factors, thetas):
         out = np.take(m, q, axis=1)
         out *= -1j * np.sin(theta)
@@ -179,9 +178,9 @@ def _sector_chain_forms(maps: _SectorMaps, theta: float) -> Iterator[tuple[int, 
         idx, factors = maps.members[k], maps.factors[k]
         head = _times_exps(identity(idx.size), factors[:-2], repeat(theta))
         forms = {
-            FORM_FACTORED: (1j**m) * _times_exps(head, factors[-2:], repeat(theta)),
+            FORM_FACTORED: (1j**m) * _times_exps(head.copy(), factors[-2:], repeat(theta)),
             FORM_TAIL_SUM: (1j**m) * _times_exp_tail_sum(head, idx, states, gate),
-            FORM_TAIL_PRODUCT: (1j ** (m - 1)) * _times_exps(head, [maps.products[k][1]], [theta]),
+            FORM_TAIL_PRODUCT: (1j ** (m - 1)) * _times_exps(head.copy(), [maps.products[k][1]], [theta]),
         }
         yield k, forms
         if mirror != k:
@@ -237,23 +236,31 @@ def _perturbed_blocks(
 class _SectorMaps:
     """A word's index maps in every down-count sector, built on first use and shared by one command.
 
-    factors[k] holds each factor restricted to sector k as an index map of the sector's
-    positions, checked once where it is made: a factor that left its sector or did not
-    square to the identity yields no map. products[k] holds the sector's map of the whole
-    product and that of the merged tail product, the latter checked the same way. Only index
-    maps and the form deviations found so far are kept, never a block.
+    factors[k] holds, in row f, factor f restricted to sector k as an index map of the
+    sector's positions: the exchange rule applied to the sector's configurations, each image
+    located among them by np.searchsorted. Each map is checked once where it is made: a
+    factor that leaves its sector or does not square to the identity yields no map.
+    products[k] holds the sector's map of the whole product and that of the merged tail
+    product, the latter checked the same way. Only index maps and the form deviations found
+    so far are kept, never a block.
     """
 
     def __init__(self, word: ExchangeWord):
         self.word = word
-        self.members = _sectors(word.n_spins)[0]
+        self.members = _sectors(word.n_spins)
         self._deviations: dict[tuple[float, float], dict[str, float]] = {}
 
     @cached_property
-    def factors(self) -> list[list[np.ndarray]]:
-        position = _sectors(self.word.n_spins)[1]
-        maps = [exchange_permutation(self.word.n_spins, i, j).map for i, j in self.word.factors]
-        return [[_involution(position[q[idx]]) for q in maps] for idx in self.members]
+    def factors(self) -> list[np.ndarray]:
+        n = self.word.n_spins
+        i, j = np.array(self.word.factors).T[:, :, None]  # one label row per factor: one row of images each
+        maps = []
+        for idx in self.members:
+            images = exchange_configurations(idx, n, i, j)
+            q = np.searchsorted(idx, images)
+            q[idx[np.minimum(q, idx.size - 1)] != images] = -1  # an image outside the sector: refused below
+            maps.append(_involution(q))
+        return maps
 
     @cached_property
     def products(self) -> list[tuple[np.ndarray, np.ndarray]]:

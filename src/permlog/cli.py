@@ -59,9 +59,12 @@ from .spins import SPIN_CAP, SpinConfiguration, _check_spin_count, four_spin_sta
 SCHEMA_VERSION = 1
 TOL_ENV_VAR = "PERMLOG_TOL"
 MAX_SWEEP_STEPS = 1000  # each sweep step or coupling check builds and checks the sector blocks of one unitary
-# cogwheel builds dense n x n matrices and checks them in O(n^3). The cap is 2^SPIN_CAP and was not
-# measured; spin never builds a cogwheel longer than order(sigma) <= 60.
-COGWHEEL_CAP = 1 << SPIN_CAP
+# cogwheel builds dense n x n matrices and checks them in O(n^3). Wall time and peak memory on a 2-vCPU
+# x86_64 host with one BLAS thread, in csv, json and pretty: n = 512 took 0.95 s / 79 MB and 1.94 s / 125 MB;
+# n = 1024 took 6.8 s / 217 MB, 10.1 s / 373 MB and 6.9 s / 228 MB; n = 2048 took 45 s / 741 MB in csv. The
+# cap is the largest power of two whose slowest format ends in under 15 s and 500 MB. spin never builds a
+# cogwheel longer than order(sigma) <= 60.
+COGWHEEL_CAP = 1024
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
 from .cogwheel import cogwheel_energies, cogwheel_hamiltonian, polynomial_coefficients
 from .permutation import Permutation
-from .spins import _check_pair, _check_spin_count, exchange_permutation
+from .spins import _check_pair, _check_spin_count, exchange_configurations
 
 
 class WordParseError(ValueError):
@@ -105,8 +104,11 @@ def evolution_permutation(word: ExchangeWord) -> Permutation:
             UntouchedSpinWarning,
             stacklevel=2,
         )
-    # (p * q).map is p.map[q.map]: the left factor composes on the left and acts last
-    return Permutation(reduce(np.take, [exchange_permutation(word.n_spins, i, j).map for i, j in word.factors]))
+    # the rightmost factor acts first; on a finite set the composite is a bijection only if every factor is
+    x = np.arange(1 << word.n_spins)
+    for i, j in reversed(word.factors):
+        x = exchange_configurations(x, word.n_spins, i, j)
+    return Permutation(x)
 
 
 @dataclass(frozen=True)

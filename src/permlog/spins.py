@@ -68,14 +68,21 @@ class SpinConfiguration:
         return self.bits
 
 
+def exchange_configurations(x: np.ndarray, n_spins: int, i, j) -> np.ndarray:
+    """The configurations x with spins i and j swapped: the bit rule of every exchange, for checked labels.
+
+    Label arrays broadcast against x, so labels of shape (m, 1) give the images under m exchanges as m rows.
+    """
+    a, b = n_spins - i, n_spins - j
+    # flip both bits exactly where they differ
+    return x ^ ((((x >> a) ^ (x >> b)) & 1) * ((1 << a) | (1 << b)))
+
+
 def exchange_permutation(n_spins: int, i: int, j: int) -> Permutation:
     """The involution swapping the states of spins i and j in every configuration."""
     _check_spin_count(n_spins, minimum=2)
     _check_pair(n_spins, i, j)
-    a, b = n_spins - i, n_spins - j
-    x = np.arange(1 << n_spins)
-    # flip both bits exactly where they differ
-    return Permutation(x ^ ((((x >> a) ^ (x >> b)) & 1) * ((1 << a) | (1 << b))))
+    return Permutation(exchange_configurations(np.arange(1 << n_spins), n_spins, i, j))
 
 
 def _one_site(n_spins: int, k: int, op: np.ndarray) -> np.ndarray:

@@ -107,11 +107,25 @@ def complex_unitarity_residual(m):
     return max_abs_diff(m @ dagger(m), identity(m.shape[0]))
 
 
+def composed_exchange_maps(word):
+    """The map of evolution_permutation(word), composed from each factor's 2^N exchange map."""
+    # (p * q).map is p.map[q.map]: the left factor composes on the left and acts last
+    return reduce(np.take, [exchange_permutation(word.n_spins, i, j).map for i, j in word.factors])
+
+
+def position_table_factors(word):
+    """Each sector's factor maps, read from each factor's 2^N exchange map through a 2^N table of positions."""
+    members = _sectors(word.n_spins)
+    position = np.empty(1 << word.n_spins, dtype=np.intp)
+    for idx in members:
+        position[idx] = np.arange(idx.size)
+    maps = [exchange_permutation(word.n_spins, i, j).map for i, j in word.factors]
+    return [[_involution(position[q[idx]]) for q in maps] for idx in members]
+
+
 def every_sector_factors(word):
     """Each sector's configurations and the word's factors restricted to it, every sector from its own maps."""
-    members, position = _sectors(word.n_spins)
-    maps = [exchange_permutation(word.n_spins, i, j).map for i, j in word.factors]
-    return [(idx, [_involution(position[q[idx]]) for q in maps]) for idx in members]
+    return list(zip(_sectors(word.n_spins), position_table_factors(word)))
 
 
 def every_sector_heads(word, theta):
@@ -130,10 +144,11 @@ def every_sector_chain_forms(word, theta):
     m = len(word.factors)
     states, gate = _tail_sum_gate(word, theta)
     for idx, factors, head in every_sector_heads(word, theta):
+        tail = _involution(factors[-2][factors[-1]])
         yield idx, factors, {
-            FORM_FACTORED: (1j**m) * _times_exps(head, factors[-2:], repeat(theta)),
+            FORM_FACTORED: (1j**m) * _times_exps(head.copy(), factors[-2:], repeat(theta)),
             FORM_TAIL_SUM: (1j**m) * loop_times_exp_tail_sum(head, idx, states, gate),
-            FORM_TAIL_PRODUCT: (1j ** (m - 1)) * _times_exps(head, [_involution(factors[-2][factors[-1]])], [theta]),
+            FORM_TAIL_PRODUCT: (1j ** (m - 1)) * _times_exps(head.copy(), [tail], [theta]),
         }
 
 
@@ -244,3 +259,15 @@ def random_words(draw):
     n = draw(st.integers(2, 9))
     pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda pair: pair[0] != pair[1])
     return ExchangeWord(n_spins=n, factors=tuple(draw(st.lists(pairs, min_size=1, max_size=6))))
+
+
+@st.composite
+def repeating_words(draw, max_spins=10):
+    """Words of 1..12 exchanges on 2..max_spins spins, drawn from a pool of 1..2N pairs.
+
+    A pool smaller than the word repeats pairs, and one that misses a spin leaves it untouched.
+    """
+    n = draw(st.integers(2, max_spins))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda pair: pair[0] != pair[1])
+    pool = draw(st.lists(pairs, min_size=1, max_size=2 * n))
+    return ExchangeWord(n_spins=n, factors=tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))))

@@ -48,7 +48,7 @@ from permlog.linalg import (
     max_abs_diff,
 )
 from permlog.permutation import Permutation
-from permlog.spins import exchange_permutation
+from permlog.spins import exchange_configurations, exchange_permutation
 
 from oracles import (
     assemble,
@@ -65,6 +65,8 @@ from oracles import (
     every_sector_perturbed_blocks,
     exp_involution,
     loop_times_exp_tail_sum,
+    position_table_factors,
+    repeating_words,
 )
 
 CHAIN_TOL = 1e-10
@@ -320,7 +322,7 @@ def test_leakage_invariances(left_index, right_index, phase):
 
 def perturbed_product(word, epsilon=0.0):
     """The perturbed product perturbation_leakage checks, assembled dense from its sector blocks."""
-    members = _sectors(word.n_spins)[0]
+    members = _sectors(word.n_spins)
     blocks = _perturbed_blocks(_SectorMaps(word), epsilon)
     return assemble(((members[k], block) for k, block in blocks), word.n_spins)
 
@@ -405,7 +407,7 @@ def random_commuting_tail_word(seed, tail, n=None):
 
 def assembled_chain_forms(word, theta):
     """The library's three factored forms at coupling theta, assembled dense from their sector blocks."""
-    members = _sectors(word.n_spins)[0]
+    members = _sectors(word.n_spins)
     sectors = [(members[k], forms) for k, forms in _sector_chain_forms(_SectorMaps(word), theta)]
     labels = (FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT)
     return {label: assemble([(idx, forms[label]) for idx, forms in sectors], word.n_spins) for label in labels}
@@ -440,13 +442,14 @@ def off_sector_max(m):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_sectors_partition_the_configurations_by_down_count(n):
-    members, position = _sectors(n)
+    members = _sectors(n)
     assert [idx.size for idx in members] == [math.comb(n, k) for k in range(n + 1)]
     assert np.array_equal(np.sort(np.concatenate(members)), np.arange(1 << n))
     for k, idx in enumerate(members):
         assert all(bin(int(x)).count("1") == k for x in idx)
         assert np.all(np.diff(idx) > 0)
-        assert np.array_equal(position[idx], np.arange(idx.size))
+        # the factor maps and the tail sum locate a configuration in its sector by np.searchsorted
+        assert np.array_equal(np.searchsorted(idx, idx), np.arange(idx.size))
 
 
 def test_random_words_have_the_requested_tails():
@@ -542,7 +545,7 @@ def test_tail_sum_blocks_match_dense_contraction(n, tail, theta):
     dense = (1j ** len(word.factors)) * dense_times_exp_tail_sum(dense_head(word, theta), word, theta)
     assert off_sector_max(dense) == 0.0
     for k, forms in _sector_chain_forms(_SectorMaps(word), theta):
-        idx = _sectors(n)[0][k]
+        idx = _sectors(n)[k]
         assert max_abs_diff(forms[FORM_TAIL_SUM], dense[np.ix_(idx, idx)]) <= 1e-15
 
 
@@ -558,15 +561,13 @@ def test_tail_sum_table_equals_the_per_state_loop(n, tail, theta):
         assert table.tobytes() == loop_times_exp_tail_sum(head, idx, states, gate).tobytes()
 
 
-def test_times_exps_leaves_its_argument_unchanged():
-    # the chain forms three products from one head, so no product may write into it; the
-    # in-place update is bit for bit the sum of two fresh temporaries it replaced
+def test_times_exps_in_place_equals_fresh_temporaries():
+    # _times_exps scales its argument in place, so the chain hands each of the two products it
+    # forms from one head a copy; the in-place update is bit for bit the sum of two fresh temporaries
     word = random_commuting_tail_word(0, "disjoint", 6)
     _, factors, head = every_sector_heads(word, 0.37)[3]
-    before = head.copy()
     thetas = np.linspace(0.1, 0.9, len(factors))
-    out = _times_exps(head, factors, thetas)
-    assert head.tobytes() == before.tobytes() and out is not head
+    out = _times_exps(head.copy(), factors, thetas)
     expected = head
     for q, theta in zip(factors, thetas):
         expected = np.take(expected, q, axis=1) * (-1j * np.sin(theta)) + np.cos(theta) * expected
@@ -663,34 +664,56 @@ def test_one_spoiled_mirror_copy_shows_in_every_result(monkeypatch):
         assert result[label] > 5e-4, label  # the copy is off by a factor 1.001
 
 
-def spin_three_cycle(n, i, j):
-    # spins 1 -> 2 -> 3 -> 1 on every configuration: it stays in each sector but squares to its inverse
-    return exchange_permutation(n, 1, 2) * exchange_permutation(n, 2, 3)
+def for_every_factor(images):
+    """A spoiled exchange rule: images(x, n) in place of the images of x under each factor, whatever its spins."""
+    def rule(x, n, i, j):
+        return np.broadcast_to(images(x, n), np.broadcast_shapes(x.shape, np.shape(i)))
+    return rule
 
 
-def leaves_its_sector(n, i, j):
-    # swaps the all-up configuration with one that has a spin down: an involution, but not of a sector
-    x = np.arange(1 << n)
-    x[[0, 2]] = x[[2, 0]]
-    return Permutation(x)
+# spins 1 -> 2 -> 3 -> 1 on every configuration: it stays in each sector but squares to its inverse
+spin_three_cycle = for_every_factor(
+    lambda x, n: exchange_configurations(exchange_configurations(x, n, 2, 3), n, 1, 2)
+)
 
 
-@pytest.mark.parametrize("exchange", [spin_three_cycle, leaves_its_sector])
-def test_exponential_of_a_non_involution_is_refused(monkeypatch, reference_word, exchange):
-    # every factor map is checked where it is made; an out-of-range entry is refused, not indexed
-    monkeypatch.setattr(permlog.bch, "exchange_permutation", exchange)
-    with pytest.raises(InvolutionViolation):
-        perturbation_leakage(reference_word, 0.01)
+def swapping(a, b):
+    """Swaps configurations a and b and fixes the rest: an involution, not of a sector if their down counts differ."""
+    return for_every_factor(lambda x, n: np.where(x == a, b, np.where(x == b, a, x)))
+
+
+SMALL_WORDS = (ExchangeWord(3, ((1, 2), (2, 3))), ExchangeWord(2, ((1, 2),)))
+
+
+@pytest.mark.parametrize(
+    "exchange, words",
+    [
+        pytest.param(spin_three_cycle, SMALL_WORDS[:1], id="spin_three_cycle"),
+        pytest.param(swapping(0, 2), SMALL_WORDS, id="leaves_its_sector"),
+        # all up and the first configuration of sector 1 hold position 0 in their sectors alike
+        pytest.param(swapping(0, 1), SMALL_WORDS, id="swaps_all_up_with_one_down"),
+        # all down sent to one spin down, which np.searchsorted places at the all-down sector's only position
+        pytest.param(for_every_factor(lambda x, n: np.where(x == (1 << n) - 1, 1, x)), SMALL_WORDS,
+                     id="lands_on_a_position_of_its_sector"),
+    ],
+)
+def test_exponential_of_a_non_involution_is_refused(monkeypatch, reference_word, exchange, words):
+    # every factor map is checked where it is made; an image outside its sector is refused, not located
+    monkeypatch.setattr(permlog.bch, "exchange_configurations", exchange)
+    for word in (reference_word, *words):
+        with pytest.raises(InvolutionViolation):
+            perturbation_leakage(word, 0.01)
     with pytest.raises(InvolutionViolation):
         bch_chain(reference_word)
 
 
 def test_tail_product_of_a_non_commuting_pair_is_refused(monkeypatch, reference_word):
     # each factor stays an involution, but P12 P23 is a three-cycle: the tail map fails its own check
-    def tail_pair_overlaps(n, i, j):
-        return exchange_permutation(n, *((2, 3) if (i, j) == (3, 4) else (i, j)))
+    def tail_pair_overlaps(x, n, i, j):
+        p34 = (i == 3) & (j == 4)
+        return exchange_configurations(x, n, np.where(p34, 2, i), np.where(p34, 3, j))
 
-    monkeypatch.setattr(permlog.bch, "exchange_permutation", tail_pair_overlaps)
+    monkeypatch.setattr(permlog.bch, "exchange_configurations", tail_pair_overlaps)
     assert perturbation_leakage(reference_word) < 1e-12
     with pytest.raises(InvolutionViolation):
         bch_chain(reference_word)
@@ -698,9 +721,22 @@ def test_tail_product_of_a_non_commuting_pair_is_refused(monkeypatch, reference_
         coupling_variant_check(reference_word, 0, "plus_half")
 
 
+@given(repeating_words())
+@settings(max_examples=60, deadline=None)
+def test_sector_factors_equal_the_position_table_maps(word):
+    # each image located by np.searchsorted in its sector, against a 2^N table of sector positions
+    factors = _SectorMaps(word).factors
+    expected = position_table_factors(word)
+    assert len(factors) == word.n_spins + 1
+    for k, (maps, reference) in enumerate(zip(factors, expected)):
+        assert maps.dtype == np.intp and not maps.flags.writeable
+        assert np.array_equal(maps, np.array(reference)), k
+
+
 def test_sector_factors_build_few_permutations(monkeypatch):
-    # the sector factors are plain index maps: a call constructs well under one Permutation per
-    # factor and sector, m * (N + 1) = 90 for a 9-factor word at n = 9
+    # the sector factors are plain index maps and the word's permutation is validated once: building
+    # the maps constructs no Permutation, evolution_permutation exactly one, and a call well under one
+    # per factor and sector, m * (N + 1) = 90 for a 9-factor word at n = 9
     word = ExchangeWord(n_spins=9, factors=tuple((i, i + 1) for i in range(1, 9)) + ((1, 2),))
     counts = []
     post_init = Permutation.__post_init__
@@ -710,6 +746,10 @@ def test_sector_factors_build_few_permutations(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Permutation, "__post_init__", counting)
+    for call, expected in ((lambda: _SectorMaps(word).factors, 0), (lambda: evolution_permutation(word), 1)):
+        counts.append(0)
+        call()
+        assert counts[-1] == expected
     calls = (
         lambda: bch_chain(word),
         lambda: coupling_variant_check(word, 1, "plus_three_half"),

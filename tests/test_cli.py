@@ -592,14 +592,19 @@ def test_bch_command_builds_the_sector_maps_once(capsys, monkeypatch):
     # the chain, six coupling checks and four leakages share one set of checked sector maps:
     # per sector, one map for each of the 7 factors and one for the merged tail product
     involution = permlog.bch._involution
-    checked = []
-    monkeypatch.setattr(permlog.bch, "_involution", lambda q: checked.append(q.size) or involution(q))
+    checked = []  # the number of maps in each check, one per row
+
+    def counting(q):
+        checked.append(q.size // q.shape[-1])
+        return involution(q)
+
+    monkeypatch.setattr(permlog.bch, "_involution", counting)
     argv = ["bch", "--n", "6", "--word", "P12 P23 P34 P45 P56 P12 P34", "--k-range", "1",
             "--epsilon", "0.01", "--epsilon-sweep", "0:0.05:3", "--format", "json"]
     code, out = run_cli(argv, capsys)
     assert code == 0
     assert len(json.loads(out)["results"]["sweep"]) == 3
-    assert len(checked) == (7 + 1) * (6 + 1)
+    assert sum(checked) == (7 + 1) * (6 + 1)
 
 
 def test_bch_k_range_within_the_sweep_step_budget(capsys, monkeypatch):

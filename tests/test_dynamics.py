@@ -30,7 +30,7 @@ from permlog.linalg import dagger, expm, max_abs_diff
 from permlog.permutation import Permutation
 from permlog.spins import SpinConfiguration, number_down, number_up, spinflip
 
-from oracles import commutator, cycle_block_expm, random_words
+from oracles import commutator, composed_exchange_maps, cycle_block_expm, random_words, repeating_words
 
 ROUND_TRIP_TOL = 1e-10
 
@@ -135,6 +135,16 @@ def test_single_factor_word():
 def test_untouched_spin_warns():
     with pytest.warns(UntouchedSpinWarning):
         evolution_permutation(parse_word("P12", 3))
+
+
+@given(repeating_words())
+@settings(max_examples=60, deadline=None)
+def test_evolution_permutation_equals_the_composed_exchange_maps(w):
+    # the bit rule applied right to left, against the product of each factor's validated permutation
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UntouchedSpinWarning)
+        perm = evolution_permutation(w)
+    assert np.array_equal(perm.map, composed_exchange_maps(w))
 
 
 # --- orbit decomposition --------------------------------------------------------
