@@ -20,14 +20,15 @@ as independent oracles.
 The spin flip commutes with every exchange and maps sector k's configurations
 onto sector N - k's in reverse order, so each factor's map there is its map in
 sector k with the positions reversed, and every entry of a product there comes
-from the same operations on the same operands. Hence the sectors are visited as
-mirror pairs (k, N - k): products are formed in sector k, and sector N - k takes
-a contiguous reversed copy, bit for bit its own. Every comparison, unitarity
-check and leakage still runs on every sector; the merged tail sum is formed on
-the mirrored head, as its gate and sum order are not flip-symmetric to the last
-bit. A word's sector index maps are built and checked once per command: each is
-the exchange rule applied to a sector's ascending configurations, every image
-located among them by np.searchsorted, the one lookup the merged tail sum uses too.
+from the same operations on the same operands: sector N - k's block is J M J,
+bit for bit, for sector k's block M and the reversal J. Hence the sectors are
+visited as mirror pairs (k, N - k), and each result J keeps is taken once per pair,
+in sector k: a deviation or a leakage (the same entries, permuted) and unitarity
+(J M J is unitary exactly when M is; its residual differs only in rounding). Only
+the merged tail sum is formed on the mirrored head, as its gate and sum order are
+not flip-symmetric to the last bit. A word's sector index maps are built and
+checked once per command: each is the exchange rule applied to a sector's
+ascending configurations, every image located among them by np.searchsorted.
 
 Perturbing the pi/2 couplings breaks the closed forms: the product stops being
 a phased permutation, quantified by :func:`superposition_leakage`.
@@ -169,28 +170,31 @@ def _mirror(block: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(block[::-1, ::-1])
 
 
+def _phased(block: np.ndarray, phase: complex) -> np.ndarray:
+    """block scaled in place by phase, a power of i, which multiplies exactly."""
+    block *= phase
+    return block
+
+
 def _sector_chain_forms(maps: _SectorMaps, theta: float) -> Iterator[tuple[int, dict]]:
-    """Each sector's down count and its blocks of the three factored forms at coupling theta, by mirror pairs."""
+    """Each sector's down count and its blocks of the factored forms at coupling theta, by mirror pairs.
+
+    Sector k yields all three forms, sector N - k != k only the tail sum: its other two are sector k's mirrored.
+    """
     word = maps.word
     m = len(word.factors)
     states, gate = _tail_sum_gate(word, theta)
     for k, mirror in _mirror_pairs(word.n_spins):
         idx, factors = maps.members[k], maps.factors[k]
         head = _times_exps(identity(idx.size), factors[:-2], repeat(theta))
-        forms = {
-            FORM_FACTORED: (1j**m) * _times_exps(head.copy(), factors[-2:], repeat(theta)),
-            FORM_TAIL_SUM: (1j**m) * _times_exp_tail_sum(head, idx, states, gate),
-            FORM_TAIL_PRODUCT: (1j ** (m - 1)) * _times_exps(head.copy(), [maps.products[k][1]], [theta]),
+        yield k, {
+            FORM_FACTORED: _phased(_times_exps(head.copy(), factors[-2:], repeat(theta)), 1j**m),
+            FORM_TAIL_SUM: _phased(_times_exp_tail_sum(head, idx, states, gate), 1j**m),
+            FORM_TAIL_PRODUCT: _phased(_times_exps(head.copy(), [maps.products[k][1]], [theta]), 1j ** (m - 1)),
         }
-        yield k, forms
         if mirror != k:
-            head = _mirror(head)
-            forms = {
-                FORM_FACTORED: _mirror(forms[FORM_FACTORED]),
-                FORM_TAIL_SUM: (1j**m) * _times_exp_tail_sum(head, maps.members[mirror], states, gate),
-                FORM_TAIL_PRODUCT: _mirror(forms[FORM_TAIL_PRODUCT]),
-            }
-            yield mirror, forms
+            head, idx = _mirror(head), maps.members[mirror]  # sector k's head is freed before the tail sum
+            yield mirror, {FORM_TAIL_SUM: _phased(_times_exp_tail_sum(head, idx, states, gate), 1j**m)}
 
 
 def _deviation(block: np.ndarray, product: np.ndarray, sign: float) -> float:
@@ -211,9 +215,9 @@ def _deviation(block: np.ndarray, product: np.ndarray, sign: float) -> float:
 def _perturbed_blocks(
     maps: _SectorMaps, epsilon: Union[float, Sequence[float]]
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Each sector's down count and its block of :func:`perturbation_leakage`'s product, by mirror pairs.
+    """Sector k's down count and its block of :func:`perturbation_leakage`'s product, per mirror pair (k, N - k).
 
-    The offsets are checked before the first block is formed.
+    Sector N - k's block, sector k's mirrored, is not formed. The offsets are checked before the first block is.
     """
     m = len(maps.word.factors)
     offsets = np.asarray(epsilon, dtype=float)
@@ -224,13 +228,8 @@ def _perturbed_blocks(
     if not np.all(np.isfinite(offsets)):
         raise ValueError("offsets must be finite")
     thetas = 0.5 * np.pi + offsets
-    phase = 1j**m  # a power of i multiplies exactly, so it is applied once
-    for k, mirror in _mirror_pairs(maps.word.n_spins):
-        block = phase * _times_exps(identity(maps.members[k].size), maps.factors[k], thetas)
-        yield k, block
-        if mirror != k:
-            block = _mirror(block)
-            yield mirror, block
+    for k, _ in _mirror_pairs(maps.word.n_spins):
+        yield k, _phased(_times_exps(identity(maps.members[k].size), maps.factors[k], thetas), 1j**m)
 
 
 class _SectorMaps:
@@ -295,7 +294,7 @@ class _SectorMaps:
         return max(superposition_leakage(block) for _, block in _perturbed_blocks(self, epsilon))
 
     def _form_deviations(self, theta: float, sign: float) -> dict[str, float]:
-        """Each factored form's largest departure from its sign times the product, sector by sector.
+        """Each factored form's largest departure from its sign times the product, by mirror pairs.
 
         Every single-factor exponential carries the sign, so the factored and tail-sum forms
         carry sign^m and the tail-product form sign^(m-1). Kept per (theta, sign): the check at
@@ -376,7 +375,7 @@ def perturbation_leakage(word: ExchangeWord, epsilon: Union[float, Sequence[floa
 
     epsilon is one offset for every factor or one per factor. The product is the exact
     permutation product at zero offsets, and any nonzero offset generically leaks weight
-    off it. Each down-count sector's block is checked for unitarity, and the leakage is
-    the largest of the blocks' leakages: no column's peak lies outside its block.
+    off it. One down-count sector of each spin-flip mirror pair is checked for unitarity, and the
+    leakage is the largest of the blocks' leakages: no column's peak lies outside its block.
     """
     return _SectorMaps(word).leakage(epsilon)

@@ -138,8 +138,9 @@ def every_sector_chain_forms(word, theta):
     """Each sector's configurations, factors and three factored-form blocks, every sector formed in full.
 
     The sector-by-sector evaluation without the spin-flip mirror and with the per-state
-    tail-sum loop: the library forms one sector of each pair (k, N - k), mirrors it and
-    tables each column's tail-sum terms, and must agree with this bit for bit.
+    tail-sum loop: the library forms one sector of each pair (k, N - k), takes sector
+    N - k's deviations from it, and tables each column's tail-sum terms; every block it
+    forms, and every block mirrored from one, must agree with this bit for bit.
     """
     m = len(word.factors)
     states, gate = _tail_sum_gate(word, theta)

@@ -24,6 +24,7 @@ from permlog.bch import (
 from permlog.bch import (
     _SectorMaps,
     _mirror,
+    _mirror_pairs,
     _perturbed_blocks,
     _require_commuting_tail,
     _sector_chain_forms,
@@ -320,11 +321,15 @@ def test_leakage_invariances(left_index, right_index, phase):
 # --- coupling perturbation -------------------------------------------------------------
 
 
+def library_perturbed_blocks(word, epsilon):
+    """Every sector's block of the perturbed product: the library's sector k of each pair, and its mirror."""
+    blocks = dict(_perturbed_blocks(_SectorMaps(word), epsilon))
+    return [blocks[k] if k in blocks else _mirror(blocks[word.n_spins - k]) for k in range(word.n_spins + 1)]
+
+
 def perturbed_product(word, epsilon=0.0):
     """The perturbed product perturbation_leakage checks, assembled dense from its sector blocks."""
-    members = _sectors(word.n_spins)
-    blocks = _perturbed_blocks(_SectorMaps(word), epsilon)
-    return assemble(((members[k], block) for k, block in blocks), word.n_spins)
+    return assemble(zip(_sectors(word.n_spins), library_perturbed_blocks(word, epsilon)), word.n_spins)
 
 
 def test_zero_perturbation_reproduces_word(reference_word):
@@ -405,12 +410,21 @@ def random_commuting_tail_word(seed, tail, n=None):
     return ExchangeWord(n_spins=n, factors=tuple(head + last_two))
 
 
+CHAIN_FORMS = (FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT)
+
+
+def library_chain_forms(word, theta):
+    """Every sector's three factored-form blocks: the library's, and sector k's mirrored where N - k forms none."""
+    forms = dict(_sector_chain_forms(_SectorMaps(word), theta))
+    n = word.n_spins
+    return [{label: forms[k][label] if label in forms[k] else _mirror(forms[n - k][label]) for label in CHAIN_FORMS}
+            for k in range(n + 1)]
+
+
 def assembled_chain_forms(word, theta):
     """The library's three factored forms at coupling theta, assembled dense from their sector blocks."""
-    members = _sectors(word.n_spins)
-    sectors = [(members[k], forms) for k, forms in _sector_chain_forms(_SectorMaps(word), theta)]
-    labels = (FORM_FACTORED, FORM_TAIL_SUM, FORM_TAIL_PRODUCT)
-    return {label: assemble([(idx, forms[label]) for idx, forms in sectors], word.n_spins) for label in labels}
+    sectors = list(zip(_sectors(word.n_spins), library_chain_forms(word, theta)))
+    return {label: assemble([(idx, forms[label]) for idx, forms in sectors], word.n_spins) for label in CHAIN_FORMS}
 
 
 def dense_hamiltonian_form(perm, timestep):
@@ -624,7 +638,7 @@ def test_perturbation_leakage_equals_dense_leakage(n, k, tail):
 
 
 def test_one_spoiled_sector_shows_in_every_result(monkeypatch):
-    # scale the gathers of one middle sector only: every public result must notice
+    # scale the gathers of sector 2 of n = 6 only, which sector 4 mirrors: every public result must notice
     word = random_commuting_tail_word(400, "disjoint", 6)
     assert perturbation_leakage(word, 0.02) > 0.0
     assert coupling_variant_check(word, 0, "plus_half")
@@ -644,24 +658,41 @@ def test_one_spoiled_sector_shows_in_every_result(monkeypatch):
     assert result[FORM_FACTORED] > 1e-3
 
 
-def test_one_spoiled_mirror_copy_shows_in_every_result(monkeypatch):
-    # spoil only the reflected copy that sector 4 of n = 6 takes from sector 2: every public result must notice
+@pytest.mark.parametrize("k", range(4))
+def test_a_spoiled_sector_product_fails_the_leakage_of_its_pair(monkeypatch, k):
+    # only sector k of each pair (k, 7 - k) is formed and checked for unitarity: a spoil there must be refused
+    word = random_commuting_tail_word(400, "disjoint", 7)
+    assert perturbation_leakage(word, 0.02) > 0.0
+
+    def spoil_one_sector(m, factors, thetas):
+        out = _times_exps(m, factors, thetas)
+        return out * 1.001 if m.shape[0] == math.comb(7, k) else out
+
+    monkeypatch.setattr(permlog.bch, "_times_exps", spoil_one_sector)
+    with pytest.raises(NonUnitaryError):
+        perturbation_leakage(word, 0.02)
+
+
+def test_one_spoiled_mirror_copy_shows_in_the_tail_sum(monkeypatch):
+    # the only mirror copy left is the head that sector 4 of n = 6 takes from sector 2 for its merged
+    # tail sum: the tail-sum deviation and the coupling check must notice, the leakage never reads it
     word = random_commuting_tail_word(400, "disjoint", 6)
     mirror = permlog.bch._mirror
+    leak, chain = perturbation_leakage(word, 0.02), bch_chain(word)
 
     def spoil_one_copy(block):
         out = mirror(block)
         return out * 1.001 if block.shape[0] == math.comb(6, 2) else out
 
     monkeypatch.setattr(permlog.bch, "_mirror", spoil_one_copy)
-    with pytest.raises(NonUnitaryError):
-        perturbation_leakage(word, 0.02)
+    assert perturbation_leakage(word, 0.02) == leak
     assert not coupling_variant_check(word, 0, "plus_half")
     result = bch_chain(word)
     baseline = evolution_permutation(word).matrix()
     for label, mat in assembled_chain_forms(word, np.pi / 2).items():
         assert result[label] == max_abs_diff(mat, baseline), label
-        assert result[label] > 5e-4, label  # the copy is off by a factor 1.001
+    assert result[FORM_TAIL_SUM] > 5e-4  # the head is off by a factor 1.001
+    assert result[FORM_FACTORED] == chain[FORM_FACTORED] and result[FORM_TAIL_PRODUCT] == chain[FORM_TAIL_PRODUCT]
 
 
 def for_every_factor(images):
@@ -762,18 +793,26 @@ def test_sector_factors_build_few_permutations(monkeypatch):
 
 
 def test_leakage_forms_one_product_per_mirror_pair(monkeypatch):
-    # sector N - k takes sector k's product mirrored: at n = 9 that is 5 sector products, not 10
+    # sector N - k takes sector k's leakage: at n = 9 that is 5 sector products and 5 unitarity
+    # checks, not 10, and no mirrored copy
     word = ExchangeWord(n_spins=9, factors=tuple((i, i + 1) for i in range(1, 9)) + ((1, 2),))
-    sizes = []
-    times_exps = permlog.bch._times_exps
+    sizes, residuals, mirrors = [], [], []
+    times_exps, unitarity_residual = permlog.bch._times_exps, permlog.bch._unitarity_residual
 
     def counting(m, factors, thetas):
         sizes.append(m.shape[0])
         return times_exps(m, factors, thetas)
 
+    def counting_residual(m):
+        residuals.append(m.shape[0])
+        return unitarity_residual(m)
+
     monkeypatch.setattr(permlog.bch, "_times_exps", counting)
+    monkeypatch.setattr(permlog.bch, "_unitarity_residual", counting_residual)
+    monkeypatch.setattr(permlog.bch, "_mirror", mirrors.append)
     perturbation_leakage(word, 0.01)
-    assert sorted(sizes) == [math.comb(9, k) for k in range(9 // 2 + 1)]
+    assert sorted(sizes) == sorted(residuals) == [math.comb(9, k) for k in range(9 // 2 + 1)]
+    assert mirrors == []
 
 
 # --- spin-flip mirror pairs and the shared sector maps --------------------------------------
@@ -822,24 +861,65 @@ def test_perturbed_blocks_of_mirror_sectors_are_reversed_bit_for_bit(n, seed):
 @pytest.mark.parametrize("theta", [np.pi / 2, 3 * np.pi / 2, 4.5 * np.pi])
 @pytest.mark.parametrize("n", range(2, 11))
 def test_library_blocks_equal_the_every_sector_blocks(n, theta):
-    # every block the library forms or mirrors, the tail-sum blocks formed on mirrored heads
-    # included, is byte for byte the block of the sector's own product
+    # every block the library forms, the tail-sum blocks formed on mirrored heads included, and
+    # every block mirrored from one, is byte for byte the block of the sector's own product
     rng = np.random.default_rng([n, 2])
     word = mirror_test_word(rng, n)
     maps = _SectorMaps(word)
+    pairs = list(_mirror_pairs(n))
+    formed = [(k, list(forms)) for k, forms in _sector_chain_forms(maps, theta)]
+    # sector k of each pair yields every form, then sector N - k != k its tail sum only
+    assert formed == [(s, list(CHAIN_FORMS) if s == k else [FORM_TAIL_SUM]) for k, mirror in pairs
+                      for s in dict.fromkeys((k, mirror))]
     expected = [forms for _, _, forms in every_sector_chain_forms(word, theta)]
-    seen = []
-    for k, forms in _sector_chain_forms(maps, theta):
-        seen.append(k)
+    for k, forms in enumerate(library_chain_forms(word, theta)):
         assert list(forms) == list(expected[k])
         for label, block in forms.items():
             assert block.flags.c_contiguous and block.tobytes() == expected[k][label].tobytes(), (k, label)
-    assert sorted(seen) == list(range(n + 1))
     per_factor = tuple(rng.uniform(-0.1, 0.1, len(word.factors)))
     for epsilon in (0.013, per_factor):
+        assert [k for k, _ in _perturbed_blocks(maps, epsilon)] == [k for k, _ in pairs]
         expected = every_sector_perturbed_blocks(word, epsilon)
-        for k, block in _perturbed_blocks(maps, epsilon):
+        for k, block in enumerate(library_perturbed_blocks(word, epsilon)):
             assert block.flags.c_contiguous and block.tobytes() == expected[k][1].tobytes(), k
+
+
+PAIR_THETAS = {np.pi / 2: 1.0, 3 * np.pi / 2: -1.0, 4.5 * np.pi: 1.0}  # each coupling and its family's sign
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pair_leakage_equals_the_every_sector_leakage(n):
+    # a leakage taken from one sector of each mirror pair, against every sector's own block
+    rng = np.random.default_rng([n, 4])
+    word = mirror_test_word(rng, n)
+    for epsilon in (0.013, -0.3, tuple(rng.uniform(-0.1, 0.1, len(word.factors)))):
+        blocks = every_sector_perturbed_blocks(word, epsilon)
+        assert perturbation_leakage(word, epsilon) == max(superposition_leakage(block) for _, block in blocks)
+
+
+@pytest.mark.parametrize("theta", PAIR_THETAS)
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pair_deviations_equal_the_every_sector_deviations(n, theta):
+    # the factored and tail-product deviations of sector N - k read from sector k's, against every sector's own
+    word = mirror_test_word(np.random.default_rng([n, 5]), n)
+    sign = PAIR_THETAS[theta]
+    deviations = _SectorMaps(word)._form_deviations(theta, sign)
+    assert list(deviations.items()) == list(every_sector_form_deviations(word, theta, sign).items())
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_mirrored_blocks_have_their_partners_unitarity_residual(n):
+    # J M J is unitary exactly when M is; the residuals of the unformed mirrored blocks, against their partners'
+    rng = np.random.default_rng([n, 6])
+    word = mirror_test_word(rng, n)
+    sectors = [[block for _, block in every_sector_perturbed_blocks(word, epsilon)]
+               for epsilon in (0.013, tuple(rng.uniform(-0.1, 0.1, len(word.factors))))]
+    for theta in PAIR_THETAS:
+        forms = [forms for _, _, forms in every_sector_chain_forms(word, theta)]
+        sectors += [[f[label] for f in forms] for label in (FORM_FACTORED, FORM_TAIL_PRODUCT)]
+    for blocks in sectors:
+        for k, mirror in _mirror_pairs(n):
+            assert abs(_unitarity_residual(blocks[mirror]) - _unitarity_residual(blocks[k])) <= 1e-14, k
 
 
 @pytest.mark.parametrize("tail", ["disjoint", "repeated"])

@@ -16,7 +16,8 @@ coefficients, or a check computed from them, was regenerated when the closed
 forms replaced the dense D diag(E) D^dagger product and the inverse FFT; the CSV
 documents kept their bytes. Those two constructions stay in `oracles.py`, and
 the anchor test below reruns every case with them patched in: each document may
-differ from that run only in its numbers, each by at most 1e-14 * max(1, 1/T).
+differ from that run only in its numbers, each by at most 1e-14 * max(1, 1/T). A
+JSON document is compared as its parsed tree, the other formats as their text.
 
 The `cogwheel` documents that show `coefficients_reconstruct` (`cogwheel-n4.json`,
 `cogwheel-n4.pretty` and the `cogwheel --n 37` JSON and pretty digests) were
@@ -75,6 +76,28 @@ def numbers_and_text(document):
     return [float(x) for x in parts[1::2]], [part.split() for part in parts[::2]]
 
 
+A_NUMBER = object()  # stands for every number in a JSON tree, so == compares what is left
+
+
+def numbers_and_tree(document):
+    """A JSON document's numbers and whether each is written as an integer, in document order, and its tree.
+
+    In the tree every number is A_NUMBER and every object the list of its (key, value) pairs, so
+    == compares keys in order, strings, bools and nulls.
+    """
+    numbers, integral = [], []
+
+    def parser(is_int):
+        def parse(text):
+            numbers.append(float(text))
+            integral.append(is_int)
+            return A_NUMBER
+        return parse
+
+    tree = json.loads(document, parse_float=parser(False), parse_int=parser(True), object_pairs_hook=list)
+    return np.array(numbers), np.array(integral, dtype=bool), tree
+
+
 @pytest.mark.parametrize("case", CASES + DIGESTS, ids=[" ".join(c["args"]) for c in CASES + DIGESTS])
 def test_golden_documents_match_the_dense_oracles_up_to_rounding(case, capsys, monkeypatch):
     if "stdout" in case:
@@ -87,8 +110,17 @@ def test_golden_documents_match_the_dense_oracles_up_to_rounding(case, capsys, m
         monkeypatch.setattr(module, "cogwheel_hamiltonian", dense_cogwheel_hamiltonian)
         monkeypatch.setattr(module, "polynomial_coefficients", ifft_polynomial_coefficients)
     assert main(case["args"]) == case["exit"]
-    numbers, text = numbers_and_text(committed)
-    oracle_numbers, oracle_text = numbers_and_text(capsys.readouterr().out)
-    assert text == oracle_text
+    oracle = capsys.readouterr().out
+    if case["args"][-2:] == ["--format", "json"]:
+        # a JSON document is compared as its tree: a number written as an integer in both documents is
+        # the same integer, and any other number, such as an exact 0 against 1e-17, lies within the bound
+        (numbers, integral, tree), (oracle_numbers, oracle_integral, oracle_tree) = (
+            numbers_and_tree(committed), numbers_and_tree(oracle))
+        assert tree == oracle_tree
+        both = integral & oracle_integral
+        assert np.array_equal(numbers[both], oracle_numbers[both])
+    else:
+        (numbers, text), (oracle_numbers, oracle_text) = map(numbers_and_text, (committed, oracle))
+        assert text == oracle_text
     t = float(case["args"][case["args"].index("--t") + 1]) if "--t" in case["args"] else 1.0
     assert np.max(np.abs(np.subtract(numbers, oracle_numbers)), initial=0.0) <= 1e-14 * max(1.0, 1.0 / t)
