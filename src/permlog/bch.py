@@ -59,6 +59,7 @@ from .linalg import (
     identity,
     max_abs_diff,
 )
+from .permutation import _is_integer
 from .spins import exchange_configurations, exchange_permutation, number_down
 
 FORM_FACTORED = "exp_each_factor"
@@ -272,7 +273,7 @@ class _SectorMaps:
         _require_commuting_tail(word)
         coeffs = uniform_polynomial_form(perm, timestep)
         deviations = dict(self._form_deviations(np.pi / 2, 1.0))  # a copy: the kept ones stay three forms
-        shifts = [shift_permutation(length) for length in sorted(set(perm.cycle_lengths()))]
+        shifts = [shift_permutation(length) for length in perm.cycles_by_length]
         deviations[FORM_HAMILTONIAN] = max(
             max_abs_diff(expm(-1j * timestep * polynomial_matrix(s, coeffs)), s.matrix()) for s in shifts
         )
@@ -282,7 +283,7 @@ class _SectorMaps:
         """:func:`coupling_variant_check` of the word."""
         if family not in COUPLING_FAMILIES:
             raise ValueError(f"family must be one of {COUPLING_FAMILIES}, got {family!r}")
-        if not isinstance(k, (int, np.integer)):  # exp(-i*(theta + 2*pi*k)*P) = exp(-i*theta*P) needs an integer k
+        if not _is_integer(k):  # exp(-i*(theta + 2*pi*k)*P) = exp(-i*theta*P) needs an integer k
             raise ValueError(f"k must be an integer, got {k!r}")
         _require_commuting_tail(self.word)
         theta = (2 * k + (0.5 if family == "plus_half" else 1.5)) * np.pi

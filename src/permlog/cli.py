@@ -8,15 +8,13 @@ as [re, im] pairs and matrices as row-major nested arrays; float and complex
 arrays are formatted a row at a time into one output buffer. CSV export exists
 only for flat data (energy levels and perturbation sweeps). Exit codes: 0 all
 verifications passed, 1 some verification failed, 2 usage error or out of memory,
-3 internal error (any other exception in a command). The PERMLOG_TOL environment
-variable overrides the default equality tolerance; --tol overrides both.
+3 internal error (any other exception in a command).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 
@@ -26,6 +24,7 @@ from .bch import COUPLING_FAMILIES, PreconditionViolation, _SectorMaps
 from .cogwheel import (
     _check_positive,
     _check_size,
+    _phase_vector,
     build_standard_form,
     cogwheel_energies,
     cogwheel_hamiltonian,
@@ -37,7 +36,6 @@ from .cogwheel import (
 from .dynamics import (
     UntouchedSpinWarning,
     _cycle_blocks,
-    _cycles_by_length,
     evolution_permutation,
     hamiltonian_from_permutation,
     orbit_decomposition,
@@ -57,7 +55,6 @@ from .linalg import (
 from .spins import SPIN_CAP, SpinConfiguration, _check_spin_count, four_spin_state_label, number_down, spinflip
 
 SCHEMA_VERSION = 1
-TOL_ENV_VAR = "PERMLOG_TOL"
 MAX_SWEEP_STEPS = 1000  # each sweep step or coupling check builds and checks the sector blocks of one unitary
 # cogwheel builds dense n x n matrices and checks them in O(n^3). Wall time and peak memory on a 2-vCPU
 # x86_64 host with one BLAS thread, in csv, json and pretty: n = 512 took 0.95 s / 79 MB and 1.94 s / 125 MB;
@@ -267,7 +264,7 @@ def _render_csv(payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns inputs, results and verifications; --n, --t and the tolerance are already checked
+# commands: each returns inputs, results and verifications; --n, --t and --tol are already checked
 
 
 def _check(name: str, error: float, tolerance: float) -> dict:
@@ -288,14 +285,11 @@ def _check_bool(name: str, passed: bool) -> dict:
     return {"name": name, "passed": bool(passed), "max_error": None, "tolerance": None}
 
 
-def _cmd_cogwheel(args, tol: float) -> dict:
-    n, t = args.n, args.t
-    phases = None
-    if args.phases is not None:
-        phases = [_parse_number("each --phases value", p) for p in args.phases.split(",")]
-        if len(phases) != n:
-            raise ValueError(f"--phases needs exactly {n} comma-separated values")
-    zero_phases = phases is None or all(p == 0.0 for p in phases)
+def _cmd_cogwheel(args) -> dict:
+    n, t, tol = args.n, args.t, args.tol
+    phases = None if args.phases is None else [_parse_number("each --phases value", p) for p in args.phases.split(",")]
+    phases = _phase_vector(n, phases, "--phases")  # all zero without --phases
+    zero_phases = not phases.any()
 
     u = build_standard_form(n, phases)
     energies = cogwheel_energies(n, t, phases)
@@ -328,7 +322,7 @@ def _cmd_cogwheel(args, tol: float) -> dict:
         "inputs": {
             "n": n,
             "t": float(t),
-            "phases": phases if phases is not None else [0.0] * n,
+            "phases": phases,
             "tolerance": float(tol),
         },
         "results": results,
@@ -344,8 +338,8 @@ def _orbit_entry(cycle, n_spins: int) -> dict:
     return entry
 
 
-def _cmd_spin(args, tol: float) -> dict:
-    n, t = args.n, args.t
+def _cmd_spin(args) -> dict:
+    n, t, tol = args.n, args.t, args.tol
     word = parse_word(args.word, n)
     perm = evolution_permutation(word)
     orbits = orbit_decomposition(perm)
@@ -359,7 +353,7 @@ def _cmd_spin(args, tol: float) -> dict:
     # maps cycles onto cycles. On a length-L cycle both P and the polynomial in P act as the L-shift S,
     # and blocks with equal bytes have the same expm, so the round trip takes one per distinct block.
     # Every check reads T*H and T*h_k: in units of the tick, scaled before subtracting so nothing overflows.
-    tables = _cycles_by_length(perm)
+    tables = perm.cycles_by_length
     blocks = list(zip(tables.values(), [t * b for b in _cycle_blocks(h, tables)], map(shift_permutation, tables)))
     down = number_down(n)
     flip = spinflip(n).map
@@ -420,8 +414,8 @@ def _parse_sweep(spec_text: str) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
-def _cmd_bch(args, tol: float) -> dict:
-    n, t = args.n, args.t
+def _cmd_bch(args) -> dict:
+    n, t, tol = args.n, args.t, args.tol
     if args.k_range < 0:
         raise ValueError("--k-range must be non-negative")
     if 2 * (2 * args.k_range + 1) > MAX_SWEEP_STEPS:  # two coupling checks for each k in -K..K
@@ -485,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t", type=float, default=1.0, help="time step T (default 1.0)")
         p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
-        p.add_argument("--tol", type=float, default=None,
-                       help=f"equality tolerance (default {DEFAULT_EQ_TOL}, or ${TOL_ENV_VAR})")
+        p.add_argument("--tol", type=float, default=DEFAULT_EQ_TOL, help="equality tolerance (default %(default)s)")
 
     p_cog = sub.add_parser("cogwheel", help="standard-form operator, energies, Hamiltonian")
     p_cog.add_argument("--n", type=int, required=True, help=f"number of states (1..{COGWHEEL_CAP})")
@@ -515,20 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
 _HANDLERS = {"cogwheel": _cmd_cogwheel, "spin": _cmd_spin, "bch": _cmd_bch}
 
 
-def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        tol = args.tol
-    elif os.environ.get(TOL_ENV_VAR):
-        tol = _parse_number(TOL_ENV_VAR, os.environ[TOL_ENV_VAR])
-    else:
-        tol = DEFAULT_EQ_TOL
-    _check_positive(tol, "tolerance")
-    return tol
-
-
 def _validate(args) -> None:
-    """The --n and --t checks every command shares, made before any work by the library's own checkers
-    (cogwheel._check_size, spins._check_spin_count, cogwheel._check_positive) with the flag's name."""
+    """The --tol, --n and --t checks of every command, made before any work by the library's checkers."""
+    _check_positive(args.tol, "tolerance")
     if args.command == "cogwheel":
         _check_size(args.n, "--n")
         if args.n > COGWHEEL_CAP:
@@ -551,12 +533,11 @@ def _show_warning(show):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        tol = _resolve_tol(args)
         _validate(args)
         with warnings.catch_warnings():
             warnings.simplefilter("always", UntouchedSpinWarning)  # one line per call: each command warns once
             warnings.showwarning = _show_warning(warnings.showwarning)
-            payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **_HANDLERS[args.command](args, tol)}
+            payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **_HANDLERS[args.command](args)}
         if args.format == "json":
             rendered = _emit_json(payload) + "\n"
         elif args.format == "csv":
@@ -582,6 +563,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(rendered)
     return 0 if all(v["passed"] for v in payload["verifications"]) else 1
+
 
 if __name__ == "__main__":
     raise SystemExit(main())

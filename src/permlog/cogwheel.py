@@ -22,15 +22,15 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import DEFAULT_EQ_TOL, max_abs_diff
-from .permutation import Permutation
+from .permutation import Permutation, _is_integer
 
 
-def _phase_vector(n: int, phases) -> np.ndarray:
+def _phase_vector(n: int, phases, name: str = "phases") -> np.ndarray:
     if phases is None:
         return np.zeros(n)
     ph = np.asarray(phases, dtype=float)
     if ph.shape != (n,):
-        raise ValueError(f"expected {n} phases, got shape {ph.shape}")
+        raise ValueError(f"{name} must hold exactly {n} values, got shape {ph.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # refused here, not warned about
         if not np.isfinite(ph.sum()):  # so is every sum with a phase that is not finite
             raise ValueError("phases and their sum must be finite")
@@ -38,7 +38,7 @@ def _phase_vector(n: int, phases) -> np.ndarray:
 
 
 def _check_size(n: int, name: str = "size") -> None:
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (_is_integer(n) and n >= 1):
         raise ValueError(f"{name} must be a positive integer")
 
 

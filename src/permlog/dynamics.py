@@ -43,12 +43,10 @@ class ExchangeWord:
 
     def __post_init__(self):
         _check_spin_count(self.n_spins, minimum=2)
-        factors = tuple((int(i), int(j)) for i, j in self.factors)
+        factors = tuple(_check_pair(self.n_spins, i, j) for i, j in self.factors)
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise ValueError("a word must have at least one factor")
-        for i, j in factors:
-            _check_pair(self.n_spins, i, j)
 
     @property
     def touched(self) -> frozenset[int]:
@@ -81,10 +79,10 @@ def parse_word(text: str, n_spins: int) -> ExchangeWord:
             match = pattern.match(text, pos)
             if match:
                 i, j = int(match.group(1)), int(match.group(2))
-                if not (1 <= i <= n_spins and 1 <= j <= n_spins):
-                    raise WordParseError(f"spin label out of range 1..{n_spins}", pos)
-                if i == j:
-                    raise WordParseError("a factor needs two distinct spins", pos)
+                try:
+                    _check_pair(n_spins, i, j)
+                except ValueError as exc:
+                    raise WordParseError(str(exc), pos) from None
                 factors.append((i, j))
                 pos = match.end()
                 break
@@ -135,16 +133,8 @@ def orbit_decomposition(perm: Permutation) -> OrbitDecomposition:
     return OrbitDecomposition(cycles=perm.cycles())
 
 
-def _cycles_by_length(perm: Permutation) -> dict[int, np.ndarray]:
-    """Each cycle length L, ascending, with its cycles in cycles() order as the rows of a (count, L) array."""
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for cycle in perm.cycles():
-        groups.setdefault(len(cycle), []).append(cycle)
-    return {length: np.array(groups[length], dtype=np.intp) for length in sorted(groups)}
-
-
-def _cycle_blocks(h: np.ndarray, tables: dict[int, np.ndarray]) -> list[np.ndarray]:
-    """The (count, L, L) stack of h's blocks for each table of _cycles_by_length, in its order.
+def _cycle_blocks(h: np.ndarray, tables) -> list[np.ndarray]:
+    """The (count, L, L) stack of h's blocks for each table of Permutation.cycles_by_length, in its order.
 
     Raises ValueError if any entry of h outside the blocks is nonzero.
     """
@@ -170,7 +160,7 @@ def hamiltonian_from_permutation(perm: Permutation, timestep: float = 1.0) -> Bl
     embedded on its span; fixed points carry energy zero. Cycles start at their
     smallest member, which fixes the (gauge) choice of cogwheel origin.
     """
-    tables = _cycles_by_length(perm)
+    tables = perm.cycles_by_length
     per_length = {length: cogwheel_hamiltonian(length, timestep) for length in tables}  # refuses a bad T before H
     h = np.zeros((perm.size, perm.size), dtype=complex)
     for length, rows in tables.items():
@@ -228,7 +218,7 @@ def spectrum(perm: Permutation, timestep: float = 1.0) -> SpectrumReport:
     Levels are exact rationals, so no float comparison and no diagonalization is involved.
     """
     lengths = np.array([len(cycle) for cycle in perm.cycles()])
-    fractions = sorted({Fraction(n, length) for length in set(lengths.tolist()) for n in range(length)})
+    fractions = sorted({Fraction(n, length) for length in perm.cycles_by_length for n in range(length)})
     grids = {q: cogwheel_energies(q, timestep) for q in {f.denominator for f in fractions}}
     energies = tuple(float(grids[f.denominator][f.numerator]) for f in fractions)
     provenance = tuple(tuple(np.flatnonzero(lengths % f.denominator == 0).tolist()) for f in fractions)

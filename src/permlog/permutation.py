@@ -5,8 +5,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from types import MappingProxyType
 
 import numpy as np
+
+
+def _is_integer(x) -> bool:  # the type of every size, spin label, bit pattern and k: a bool is no integer here
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +104,18 @@ class Permutation:
             out.append(tuple(cyc))
         return tuple(out)
 
-    def cycle_lengths(self) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in self.cycles()))
+    @cached_property
+    def cycles_by_length(self) -> MappingProxyType:
+        """Each cycle length L, ascending, and its cycles in cycles() order as a read-only (count, L) array."""
+        by_length = groupby(sorted(self.cycles(), key=len), key=len)  # a stable sort keeps cycles() order
+        tables = {length: np.array(list(cycles), dtype=np.intp) for length, cycles in by_length}
+        for rows in tables.values():
+            rows.flags.writeable = False
+        return MappingProxyType(tables)
 
     def order(self) -> int:
         """Smallest k >= 1 with self**k equal to the identity (lcm of cycle lengths)."""
-        return math.lcm(*self.cycle_lengths())
+        return math.lcm(*self.cycles_by_length)
 
     def matrix(self) -> np.ndarray:
         """The complex matrix sending basis vector m to basis vector map[m] (one 1 per column)."""

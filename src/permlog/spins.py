@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .permutation import Permutation
+from .permutation import Permutation, _is_integer
 
 SPIN_CAP = 12  # dense 2^N x 2^N matrices stop being sensible past this
 
@@ -26,16 +26,18 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _BIT_TO_SPIN = str.maketrans("01", "ud")  # up = 0, down = 1
 
+
 def _check_spin_count(n_spins: int, minimum: int = 1, name: str = "spin count") -> None:
-    if not (isinstance(n_spins, (int, np.integer)) and minimum <= n_spins <= SPIN_CAP):
+    if not (_is_integer(n_spins) and minimum <= n_spins <= SPIN_CAP):
         raise ValueError(f"{name} must be in {minimum}..{SPIN_CAP}, got {n_spins}")
 
 
-def _check_pair(n_spins: int, i: int, j: int) -> None:
-    if not (1 <= i <= n_spins and 1 <= j <= n_spins):
-        raise ValueError(f"spin labels must be in 1..{n_spins}, got ({i}, {j})")
+def _check_pair(n_spins: int, i: int, j: int) -> tuple[int, int]:
+    if not (_is_integer(i) and _is_integer(j) and 1 <= i <= n_spins and 1 <= j <= n_spins):
+        raise ValueError(f"spin label out of range 1..{n_spins} or not an integer, got ({i}, {j})")
     if i == j:
         raise ValueError("exchange needs two distinct spins")
+    return int(i), int(j)
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,8 @@ class SpinConfiguration:
 
     def __post_init__(self):
         _check_spin_count(self.n_spins, minimum=2)
-        if not 0 <= self.bits < (1 << self.n_spins):
-            raise ValueError(f"bits out of range for {self.n_spins} spins")
+        if not (_is_integer(self.bits) and 0 <= self.bits < (1 << self.n_spins)):
+            raise ValueError(f"bits must be an integer in 0..{(1 << self.n_spins) - 1}, got {self.bits!r}")
 
     @classmethod
     def from_string(cls, text: str) -> "SpinConfiguration":

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from permlog.bch import (FORM_FACTORED, FORM_HAMILTONIAN, FORM_TAIL_PRODUCT, FORM_TAIL_SUM, _involution,
                          _require_commuting_tail, _sectors, _tail_sum_gate, _times_exps, superposition_leakage)
 from permlog.cogwheel import cogwheel_energies, diagonalizer, shift_permutation
-from permlog.dynamics import (ExchangeWord, _cycle_blocks, _cycles_by_length, evolution_permutation,
+from permlog.dynamics import (ExchangeWord, _cycle_blocks, evolution_permutation,
                               polynomial_matrix, uniform_polynomial_form)
 from permlog.linalg import (DEFAULT_UNITARITY_TOL, DimensionMismatch, InvolutionViolation, as_matrix, dagger,
                             expm, identity, max_abs_diff)
@@ -172,7 +172,7 @@ def every_sector_chain(word, timestep=1.0):
     perm = evolution_permutation(word)
     coeffs = uniform_polynomial_form(perm, timestep)
     deviations = every_sector_form_deviations(word, np.pi / 2, 1.0)
-    shifts = [shift_permutation(length) for length in sorted(set(perm.cycle_lengths()))]
+    shifts = [shift_permutation(length) for length in sorted({len(cycle) for cycle in perm.cycles()})]
     deviations[FORM_HAMILTONIAN] = max(
         max_abs_diff(expm(-1j * timestep * polynomial_matrix(s, coeffs)), s.matrix()) for s in shifts
     )
@@ -212,7 +212,7 @@ def cycle_block_expm(perm, h, scale):
     h = as_matrix(h)
     if h.shape[0] != perm.size:
         raise ValueError(f"h is {h.shape[0]}x{h.shape[0]}, the permutation acts on {perm.size} points")
-    tables = _cycles_by_length(perm)
+    tables = perm.cycles_by_length
     out = np.zeros_like(h)
     for rows, stack in zip(tables.values(), _cycle_blocks(h, tables)):
         out[rows[:, :, None], rows[:, None, :]] = [expm(scale * block) for block in stack]

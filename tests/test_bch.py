@@ -192,6 +192,8 @@ def test_coupling_variant_rejects_unknown_family(reference_word):
         coupling_variant_check(reference_word, 0, "plus_two")
     with pytest.raises(ValueError, match="^k must be an integer, got 0.5$"):
         coupling_variant_check(reference_word, 0.5, "plus_half")
+    with pytest.raises(ValueError, match="^k must be an integer, got True$"):
+        coupling_variant_check(reference_word, True, "plus_half")
 
 
 # --- generic commutator series ------------------------------------------------------
@@ -504,7 +506,7 @@ HAMILTONIAN_WORDS = [
 
 
 def test_hamiltonian_words_cover_fixed_points_and_mixed_cycle_lengths():
-    lengths = [set(evolution_permutation(word).cycle_lengths()) for word in HAMILTONIAN_WORDS]
+    lengths = [set(evolution_permutation(word).cycles_by_length) for word in HAMILTONIAN_WORDS]
     assert lengths[0] == {1}
     assert all(1 in ls for ls in lengths)  # all-up and all-down are always fixed
     assert max(len(ls) for ls in lengths) >= 4

@@ -165,7 +165,7 @@ def test_non_finite_array_entries_are_refused(bad, where, part, capsys, monkeypa
     with pytest.raises(ValueError, match="non-finite"):
         _emit_json({"h": a})
     monkeypatch.setitem(
-        permlog.cli._HANDLERS, "cogwheel", lambda args, tol: {"results": {"h": a}, "verifications": []}
+        permlog.cli._HANDLERS, "cogwheel", lambda args: {"results": {"h": a}, "verifications": []}
     )
     code = main(["cogwheel", "--n", "2", "--format", "json"])
     captured = capsys.readouterr()
@@ -275,6 +275,7 @@ def test_cogwheel_coefficients_reconstruct_fails_on_wrong_coefficients(capsys, m
         (["--n", "0"], "--n must be a positive integer"),
         (["--n", str(COGWHEEL_CAP + 1)], f"--n must be at most {COGWHEEL_CAP}"),
         (["--n", "3", "--phases", "1,2,"], "each --phases value must be a number, got ''"),
+        (["--n", "3", "--phases", "1,2"], "--phases must hold exactly 3 values, got shape (2,)"),
     ],
 )
 def test_cogwheel_usage_error_builds_no_operator(args, message, capsys, monkeypatch):
@@ -423,13 +424,13 @@ SPIN_ORACLE_WORDS = [
 
 def test_spin_oracle_words_cover_fixed_points_and_mixed_cycle_lengths():
     for word in SPIN_ORACLE_WORDS:
-        lengths = set(evolution_permutation(word).cycle_lengths())
+        lengths = set(evolution_permutation(word).cycles_by_length)
         assert 1 in lengths and len(lengths) >= 3, str(word)
 
 
 def spin_check_errors(word, t):
     """The max_error of each matrix check _cmd_spin reports, by name."""
-    payload = permlog.cli._cmd_spin(argparse.Namespace(n=word.n_spins, word=str(word), t=t), 1e-10)
+    payload = permlog.cli._cmd_spin(argparse.Namespace(n=word.n_spins, word=str(word), t=t, tol=1e-10))
     return {v["name"]: v["max_error"] for v in payload["verifications"] if v["max_error"] is not None}
 
 
@@ -507,7 +508,7 @@ def test_untouched_spin_is_one_clean_stderr_line(argv, code, untouched):
 
 
 def test_other_warnings_pass_through_the_command(capsys, monkeypatch):
-    def warn(args, tol):
+    def warn(args):
         warnings.warn("something else", RuntimeWarning)
         return {"inputs": {}, "results": {"energies": []}, "verifications": []}
 
@@ -648,6 +649,7 @@ def test_bch_sweep_step_cap(capsys):
         ("0:1:2.5", "--epsilon-sweep steps must be an integer, got '2.5'"),
         ("a:1:2", "--epsilon-sweep start must be a number, got 'a'"),
         ("0:b:2", "--epsilon-sweep stop must be a number, got 'b'"),
+        ("0:1", "--epsilon-sweep expects start:stop:steps"),
     ],
 )
 def test_bch_malformed_sweep_names_the_field(sweep, message, capsys, monkeypatch):
@@ -698,32 +700,34 @@ def test_impossible_tolerance_fails_verifications(capsys):
     assert failed  # machine-readable failure list
 
 
-def test_env_var_overrides_tolerance(capsys, monkeypatch):
-    monkeypatch.setenv("PERMLOG_TOL", "1e-3")
-    code, out = run_cli(REFERENCE_ARGS, capsys)
-    assert code == 0
-    assert json.loads(out)["inputs"]["tolerance"] == pytest.approx(1e-3)
-
-
-def test_flag_beats_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("PERMLOG_TOL", "1e-30")
-    code, out = run_cli(REFERENCE_ARGS + ["--tol", "1e-10"], capsys)
-    assert code == 0
-
-
 COMMAND_ARGS = {
     "cogwheel": ["cogwheel", "--n", "4"],
     "spin": ["spin", "--n", "4", "--word", "P23 P12 P34"],
     "bch": ["bch", "--n", "4", "--word", "P23 P12 P34"],
 }
-NON_FINITE_INPUTS = {  # environment, arguments, the one stderr line
-    "tol": ({}, ["--tol", "inf"], "error: tolerance must be finite"),
-    "env": ({"PERMLOG_TOL": "inf"}, [], "error: tolerance must be finite"),
-    "env_text": ({"PERMLOG_TOL": "abc"}, [], "error: PERMLOG_TOL must be a number, got 'abc'"),
-    "t": ({}, ["--t", "inf"], "error: --t must be finite"),
-    "tol_zero": ({}, ["--tol", "0"], "error: tolerance must be positive"),
-    "t_zero": ({}, ["--t", "0"], "error: --t must be positive"),
-    "t_nan": ({}, ["--t", "nan"], "error: --t must be positive"),
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+@pytest.mark.parametrize("value", ["1e-3", "1e-30", "inf", "abc"])
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_env_var_does_not_change_the_tolerance(command, value, fmt, capsys, monkeypatch):
+    # the command line is the only input, so a tolerance in the environment changes no byte and no exit code
+    def run():
+        code = main(COMMAND_ARGS[command] + ["--format", fmt])
+        return code, capsys.readouterr()
+
+    monkeypatch.delenv("PERMLOG_TOL", raising=False)
+    plain = run()
+    monkeypatch.setenv("PERMLOG_TOL", value)
+    assert run() == plain
+
+
+NON_FINITE_INPUTS = {  # arguments, the one stderr line
+    "tol": (["--tol", "inf"], "error: tolerance must be finite"),
+    "t": (["--t", "inf"], "error: --t must be finite"),
+    "tol_zero": (["--tol", "0"], "error: tolerance must be positive"),
+    "t_zero": (["--t", "0"], "error: --t must be positive"),
+    "t_nan": (["--t", "nan"], "error: --t must be positive"),
 }
 
 
@@ -731,11 +735,9 @@ NON_FINITE_INPUTS = {  # environment, arguments, the one stderr line
 @pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
 @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
 def test_non_finite_tolerance_or_timestep_is_usage_error(command, case, fmt, capsys, monkeypatch):
-    env, extra, message = NON_FINITE_INPUTS[case]
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+    extra, message = NON_FINITE_INPUTS[case]
 
-    def refuse(args, tol):
+    def refuse(args):
         raise AssertionError("ran the command before rejecting its input")
 
     monkeypatch.setitem(permlog.cli._HANDLERS, command, refuse)
@@ -866,7 +868,7 @@ def test_unwritable_output_is_a_usage_error(where, reason, tmp_path, capsys):
     ids=["out_of_memory", "internal_error"],
 )
 def test_error_in_a_command_is_one_stderr_line(exc, exit_code, err, capsys, monkeypatch):
-    def fail(args, tol):
+    def fail(args):
         raise exc
 
     monkeypatch.setitem(permlog.cli._HANDLERS, "spin", fail)

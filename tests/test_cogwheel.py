@@ -74,6 +74,9 @@ def test_standard_form_validates_input():
         build_standard_form(0)
     with pytest.raises(ValueError, match="^size must be a positive integer$"):
         shift_permutation(2.5)
+    for use in (shift_permutation, diagonalizer, build_standard_form):
+        with pytest.raises(ValueError, match="^size must be a positive integer$"):
+            use(True)
     with pytest.raises(ValueError):
         build_standard_form(3, [0.0, 0.0])
 

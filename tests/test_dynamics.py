@@ -16,7 +16,6 @@ from permlog.dynamics import (
     UntouchedSpinWarning,
     WordParseError,
     _cycle_blocks,
-    _cycles_by_length,
     evolution_permutation,
     hamiltonian_from_permutation,
     orbit_decomposition,
@@ -102,6 +101,8 @@ def test_word_validation():
         ExchangeWord(n_spins=2.5, factors=((1, 2),))
     with pytest.raises(ValueError):
         ExchangeWord(n_spins=4, factors=((2, 2),))
+    with pytest.raises(ValueError, match=r"^spin label out of range 1\.\.4 or not an integer, got \(1\.5, 2\)$"):
+        ExchangeWord(n_spins=4, factors=((1.5, 2),))  # refused, not truncated to (1, 2)
 
 
 # --- evolution permutation -----------------------------------------------------
@@ -339,7 +340,7 @@ def test_cycle_block_expm_rejects_one_off_block_entry(reference_perm):
 
 def test_cycle_blocks_gather_every_cycle_block(reference_perm):
     h = hamiltonian_from_permutation(reference_perm, 1.0).matrix
-    tables = _cycles_by_length(reference_perm)
+    tables = reference_perm.cycles_by_length
     stacks = _cycle_blocks(h, tables)
     assert [stack.shape for stack in stacks] == [(len(rows), length, length) for length, rows in tables.items()]
     for rows, stack in zip(tables.values(), stacks):
@@ -465,7 +466,7 @@ def assert_matches_per_cycle_reference(perm, t):
     assert np.array_equal(report.matrix, h)
     assert np.array_equal(cycle_block_expm(perm, h, -1j * t), per_cycle_block_expm(perm, h, -1j * t))
     assert spectrum(perm, t) == per_cycle_spectrum(perm, t)
-    assert sorted(report.per_length) == sorted(set(perm.cycle_lengths()))
+    assert sorted(report.per_length) == sorted({len(cycle) for cycle in perm.cycles()})
     for cycle in perm.cycles():
         block = report.per_length[len(cycle)]
         assert np.array_equal(block, cogwheel_hamiltonian(len(cycle), t))
@@ -524,7 +525,7 @@ def test_energies_near_the_float_range_keep_their_arithmetic(reference_perm, t):
         levels = spectrum(reference_perm, t).distinct_energies
         for text, lengths in SPIN_CAP_WORDS.items():  # spectrum only: the per-cycle H would be dense 4096 x 4096
             perm = evolution_permutation(parse_word(text, 12))
-            assert set(perm.cycle_lengths()) == lengths
+            assert set(perm.cycles_by_length) == lengths
             assert spectrum(perm, t) == per_cycle_spectrum(perm, t)
     assert levels == tuple(2.0 * np.pi * f.numerator / (f.denominator * t) for f in
                            (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))

@@ -55,6 +55,11 @@ def test_configuration_validation():
         SpinConfiguration(n_spins=13, bits=0)
     with pytest.raises(ValueError):
         SpinConfiguration(n_spins=2, bits=4)
+    with pytest.raises(ValueError, match=r"^bits must be an integer in 0\.\.15, got 1\.5$"):
+        SpinConfiguration(n_spins=4, bits=1.5)
+    for count in (True, 2.0):
+        with pytest.raises(ValueError, match="^spin count must be in 1..12"):
+            number_down(count)
 
 
 # --- exchange operators -------------------------------------------------------
@@ -91,6 +96,11 @@ def test_exchange_validates_labels():
         exchange_permutation(4, 1, 5)
     with pytest.raises(ValueError):
         exchange_permutation(4, 2, 2)
+    for label in (1.0, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match="or not an integer"):
+            exchange_permutation(4, label, 2)
+        with pytest.raises(ValueError, match="or not an integer"):
+            exchange_pauli(4, 3, label)
 
 
 def test_three_spin_cyclic_shift():
@@ -243,12 +253,22 @@ def test_permutation_validation():
         Permutation((0, 0, 1))
     with pytest.raises(ValueError):
         Permutation(())
+    with pytest.raises(ValueError, match="^size mismatch: 2 vs 3$"):
+        Permutation((1, 0)) * Permutation((0, 1, 2))
 
 
 def test_permutation_cycles_and_order():
     p = Permutation((1, 2, 0, 4, 3, 5))
     assert p.cycles() == ((0, 1, 2), (3, 4), (5,))
-    assert p.cycle_lengths() == (1, 2, 3)
+    tables = p.cycles_by_length
+    assert {length: rows.tolist() for length, rows in tables.items()} == {1: [[5]], 2: [[3, 4]], 3: [[0, 1, 2]]}
+    assert p.cycles_by_length is tables  # computed once
+    with pytest.raises(TypeError):
+        tables[4] = tables[1]
+    with pytest.raises(ValueError):
+        tables[3][0, 0] = 1
+    pairs = Permutation((1, 0, 3, 2, 4)).cycles_by_length  # equal lengths keep cycles() order
+    assert {length: rows.tolist() for length, rows in pairs.items()} == {1: [[4]], 2: [[0, 1], [2, 3]]}
     assert p.order() == 6
     assert (p**6).is_identity()
     assert p**-1 == p.inverse()
