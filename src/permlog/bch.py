@@ -54,6 +54,7 @@ from .linalg import (
     DEFAULT_UNITARITY_TOL,
     InvolutionViolation,
     NonUnitaryError,
+    _check_positive,
     as_matrix,
     expm,
     identity,
@@ -285,6 +286,7 @@ class _SectorMaps:
             raise ValueError(f"family must be one of {COUPLING_FAMILIES}, got {family!r}")
         if not _is_integer(k):  # exp(-i*(theta + 2*pi*k)*P) = exp(-i*theta*P) needs an integer k
             raise ValueError(f"k must be an integer, got {k!r}")
+        _check_positive(tol, "tolerance")
         _require_commuting_tail(self.word)
         theta = (2 * k + (0.5 if family == "plus_half" else 1.5)) * np.pi
         sign = 1.0 if family == "plus_half" else -1.0

@@ -22,7 +22,6 @@ import numpy as np
 
 from .bch import COUPLING_FAMILIES, PreconditionViolation, _SectorMaps
 from .cogwheel import (
-    _check_positive,
     _check_size,
     _phase_vector,
     build_standard_form,
@@ -38,7 +37,6 @@ from .dynamics import (
     _cycle_blocks,
     evolution_permutation,
     hamiltonian_from_permutation,
-    orbit_decomposition,
     parse_word,
     polynomial_matrix,
     spectrum,
@@ -47,6 +45,7 @@ from .dynamics import (
 from .linalg import (
     DEFAULT_EQ_TOL,
     DEFAULT_UNITARITY_TOL,
+    _check_positive,
     dagger,
     expm,
     is_permutation_matrix,
@@ -342,18 +341,16 @@ def _cmd_spin(args) -> dict:
     n, t, tol = args.n, args.t, args.tol
     word = parse_word(args.word, n)
     perm = evolution_permutation(word)
-    orbits = orbit_decomposition(perm)
-    report = hamiltonian_from_permutation(perm, t)
+    h = hamiltonian_from_permutation(perm, t).matrix
     coeffs = uniform_polynomial_form(perm, t)
     spec = spectrum(perm, t)
-    h = report.matrix
 
     # Each check reads H's cycle blocks only: off them every dense difference is exactly 0 - 0, as
     # _cycle_blocks refuses any other nonzero entry and the spinflip, which commutes with every exchange,
     # maps cycles onto cycles. On a length-L cycle both P and the polynomial in P act as the L-shift S,
     # and blocks with equal bytes have the same expm, so the round trip takes one per distinct block.
     # Every check reads T*H and T*h_k: in units of the tick, scaled before subtracting so nothing overflows.
-    tables = perm.cycles_by_length
+    tables = perm.cycles_by_length  # ascending lengths
     blocks = list(zip(tables.values(), [t * b for b in _cycle_blocks(h, tables)], map(shift_permutation, tables)))
     down = number_down(n)
     flip = spinflip(n).map
@@ -378,8 +375,8 @@ def _cmd_spin(args) -> dict:
         "inputs": {"n": n, "word": str(word), "t": float(t), "tolerance": float(tol)},
         "results": {
             "dimension": perm.size,
-            "orbit_lengths": orbits.lengths,
-            "orbits": [_orbit_entry(c, n) for c in orbits.cycles],
+            "orbit_lengths": tuple(length for length, rows in tables.items() for _ in range(len(rows))),
+            "orbits": [_orbit_entry(c, n) for c in perm.cycles()],
             "hamiltonian": h,
             "polynomial_period": period,
             "polynomial_coefficients": coeffs,
@@ -422,14 +419,13 @@ def _cmd_bch(args) -> dict:
         raise ValueError(f"--k-range must be at most {(MAX_SWEEP_STEPS - 2) // 4}, got {args.k_range}")
     word = parse_word(args.word, n)
     eps_values = None if args.epsilon_sweep is None else _parse_sweep(args.epsilon_sweep)
-    if args.epsilon is not None and not np.isfinite(args.epsilon):
-        raise ValueError("offsets must be finite")
+    maps = _SectorMaps(word)  # the word's sector maps, built once for every check below
+    leak = None if args.epsilon is None else maps.leakage(args.epsilon)  # refuses bad offsets before any block
     if args.format == "csv" and eps_values is None:
         raise ValueError("CSV export is only available for flat data (spectra and sweeps)")
 
     verifications = []
     results: dict = {"word": str(word)}
-    maps = _SectorMaps(word)  # the word's sector maps, built once for every check below
     try:
         chain = maps.chain(t)
     except PreconditionViolation as exc:
@@ -451,7 +447,6 @@ def _cmd_bch(args) -> dict:
     if eps_values is not None:
         results["sweep"] = [[eps, maps.leakage(eps)] for eps in eps_values.tolist()]
     if args.epsilon is not None:
-        leak = maps.leakage(args.epsilon)
         results["perturbation"] = {"epsilon": args.epsilon, "leakage": leak}
         if args.epsilon == 0.0:
             verifications.append(_check("zero_coupling_leakage", leak, DEFAULT_UNITARITY_TOL))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_EQ_TOL, max_abs_diff
+from .linalg import DEFAULT_EQ_TOL, _check_positive, max_abs_diff
 from .permutation import Permutation, _is_integer
 
 
@@ -40,13 +40,6 @@ def _phase_vector(n: int, phases, name: str = "phases") -> np.ndarray:
 def _check_size(n: int, name: str = "size") -> None:
     if not (_is_integer(n) and n >= 1):
         raise ValueError(f"{name} must be a positive integer")
-
-
-def _check_positive(value: float, name: str = "timestep") -> None:
-    if not value > 0:  # NaN and -inf too
-        raise ValueError(f"{name} must be positive")
-    if value == np.inf:
-        raise ValueError(f"{name} must be finite")
 
 
 def shift_permutation(n: int) -> Permutation:
@@ -71,9 +64,9 @@ def build_standard_form(n: int, phases=None) -> np.ndarray:
 
 def verify_power_identity(n: int, phases=None, tol: float = DEFAULT_EQ_TOL) -> bool:
     """Check U^n = e^{i*sum(phases)} * I for the standard form."""
-    ph = _phase_vector(n, phases)
-    u = build_standard_form(n, ph)
-    target = np.exp(1j * ph.sum()) * np.eye(n)
+    u = build_standard_form(n, phases)  # checks n, then the phases
+    _check_positive(tol, "tolerance")
+    target = np.exp(1j * _phase_vector(n, phases).sum()) * np.eye(n)
     return max_abs_diff(np.linalg.matrix_power(u, n), target) <= tol
 
 

@@ -30,6 +30,13 @@ class NonUnitaryError(ValueError):
     """A matrix expected to be unitary is not, within tolerance."""
 
 
+def _check_positive(value: float, name: str = "timestep") -> None:
+    if not value > 0:  # NaN and -inf too
+        raise ValueError(f"{name} must be positive")
+    if value == np.inf:
+        raise ValueError(f"{name} must be finite")
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
     m = np.asarray(a, dtype=complex)
@@ -88,11 +95,12 @@ def expm(a) -> np.ndarray:
 def is_permutation_matrix(a, tol: float = DEFAULT_EQ_TOL) -> bool:
     """True iff every row and column holds exactly one unit-magnitude entry (within tol).
 
-    Phased permutations count: the single large entry per line may carry any phase.
+    Phased permutations count: the single large entry per line, above min(tol, 1/2), may carry any phase.
     """
+    _check_positive(tol, "tolerance")
     a = as_matrix(a)
     mag = np.abs(a)
-    big = mag > tol
+    big = mag > min(tol, 0.5)
     if not np.all(big.sum(axis=0) == 1) or not np.all(big.sum(axis=1) == 1):
         return False
     return bool(np.all(np.abs(mag[big] - 1.0) <= tol))

@@ -52,6 +52,8 @@ class Permutation:
         return cls(np.arange(n))
 
     def __call__(self, index: int) -> int:
+        if not (_is_integer(index) and 0 <= index < self.size):  # numpy would wrap a negative index
+            raise ValueError(f"point must be an integer in 0..{self.size - 1}, got {index!r}")
         return int(self.map[index])
 
     def __eq__(self, other) -> bool:

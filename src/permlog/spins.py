@@ -151,7 +151,7 @@ _LABEL_BY_INDEX = {
 
 def four_spin_configuration(label: int) -> SpinConfiguration:
     """The four-spin configuration carrying a given bookkeeping label (1..16)."""
-    if label not in FOUR_SPIN_LABEL_STRINGS:
+    if not (_is_integer(label) and label in FOUR_SPIN_LABEL_STRINGS):  # the lookup alone takes 1.0 and True
         raise ValueError(f"label must be in 1..16, got {label}")
     return SpinConfiguration.from_string(FOUR_SPIN_LABEL_STRINGS[label])
 

@@ -194,6 +194,8 @@ def test_coupling_variant_rejects_unknown_family(reference_word):
         coupling_variant_check(reference_word, 0.5, "plus_half")
     with pytest.raises(ValueError, match="^k must be an integer, got True$"):
         coupling_variant_check(reference_word, True, "plus_half")
+    with pytest.raises(ValueError, match="^tolerance must be finite$"):
+        coupling_variant_check(reference_word, 0, "plus_half", math.inf)
 
 
 # --- generic commutator series ------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -79,6 +80,10 @@ def test_standard_form_validates_input():
             use(True)
     with pytest.raises(ValueError):
         build_standard_form(3, [0.0, 0.0])
+    with pytest.raises(ValueError, match="^size must be a positive integer$"):
+        verify_power_identity(2.5)  # n is checked before the phases are read
+    with pytest.raises(ValueError, match="^tolerance must be finite$"):
+        verify_power_identity(3, [0.1, 0.2, 0.3], math.inf)
 
 
 @pytest.mark.parametrize(

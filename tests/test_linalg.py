@@ -155,3 +155,9 @@ def test_permutation_matrix_detection():
     assert not is_permutation_matrix(hadamard, EQ_TOL)
     assert not is_permutation_matrix(0.5 * identity(2), EQ_TOL)
     assert not is_permutation_matrix(np.zeros((2, 2)), EQ_TOL)
+    # at a tolerance of 1 or more an entry is still large only above 1/2
+    for tol in (1.0, 2.0):
+        assert is_permutation_matrix(build_standard_form(4, phases), tol)
+        assert not is_permutation_matrix(hadamard, tol)
+    with pytest.raises(ValueError, match="^tolerance must be positive$"):
+        is_permutation_matrix(identity(2), np.nan)

@@ -121,6 +121,13 @@ def test_public_results_are_python_ints():
     assert type(p.size) is int and type(p.order()) is int
 
 
+@pytest.mark.parametrize("point", [-1, 4, 1.0, True])
+def test_call_refuses_a_point_outside_0_to_n_minus_1(point):
+    # numpy would read -1 as the last point and True as a mask
+    with pytest.raises(ValueError, match=r"^point must be an integer in 0\.\.3, got "):
+        shift_permutation(4)(point)
+
+
 # --- vectorised constructors against their per-configuration definitions --------
 
 

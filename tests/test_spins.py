@@ -238,6 +238,9 @@ def test_labels_need_four_spins():
         four_spin_state_label(SpinConfiguration.from_string("uud"))
     with pytest.raises(ValueError):
         four_spin_configuration(17)
+    for label in (1.0, True):  # a dict lookup alone takes both as label 1
+        with pytest.raises(ValueError, match=f"^label must be in 1..16, got {label}$"):
+            four_spin_configuration(label)
 
 
 def test_label_table_is_consistent():
