@@ -6,38 +6,36 @@ two factors commute they can be merged into a single exponential of their sum
 or of their product, and the whole word equals the single exponential of the
 assembled Hamiltonian: four closed forms, no infinite commutator series.
 
-Each form is evaluated from the structure of its factors rather than as a
-dense 2^N x 2^N product. An exchange never changes how many spins are down, so
-every product of exchange exponentials is block diagonal over the N + 1
-sectors of fixed down count, of sizes C(N, k). The products are formed one
-square block per sector, and each sector is used before the next is formed:
-multiplying by exp(-i*theta*P) for an exchange P is one column gather within
-the block, the merged tail sum is a local gate on the at most four spins it
-touches, and exp(-i*T*H) is taken once per distinct cycle length. Only the
-functions given a dense matrix form one; the dense products remain in the tests
-as independent oracles.
-
-The spin flip commutes with every exchange and maps sector k's configurations
-onto sector N - k's in reverse order, so each factor's map there is its map in
-sector k with the positions reversed, and every entry of a product there comes
-from the same operations on the same operands: sector N - k's block is J M J,
-bit for bit, for sector k's block M and the reversal J. Hence the sectors are
-visited as mirror pairs (k, N - k), and each result J keeps is taken once per pair,
-in sector k: a deviation or a leakage (the same entries, permuted) and unitarity
-(J M J is unitary exactly when M is; its residual differs only in rounding). Only
-the merged tail sum is formed on the mirrored head, as its gate and sum order are
-not flip-symmetric to the last bit. A word's sector index maps are built and
-checked once per command: each is the exchange rule applied to a sector's
-ascending configurations, every image located among them by np.searchsorted.
+An exchange never changes how many spins are down, so each factor acts on each
+of the N + 1 sectors of fixed down count, of sizes C(N, k), as an index map of
+the sector's positions: the exchange rule applied to the sector's ascending
+configurations, every image located among them by np.searchsorted. A word's maps
+are built and checked once per command: each factor's map, and each sector's map
+of the merged tail product, must be an involution of its sector. That integer
+check is what makes the factored forms exact at a coupling (2k + 1/2)*pi or
+(2k + 3/2)*pi, where each factor i*exp(-i*theta*P) is +-P up to the rounding of
+cos(theta) and sin(theta). So each form's deviation is a closed function of those
+two floats and of the 2^j x 2^j gate (j <= 4) of the merged tail sum, and neither
+the chain nor a coupling check forms a sector product. exp(-i*T*H) is taken once
+per distinct cycle length.
 
 Perturbing the pi/2 couplings breaks the closed forms: the product stops being
-a phased permutation, quantified by :func:`superposition_leakage`.
+a phased permutation, quantified by :func:`superposition_leakage`. The leakage is
+the one result that needs a matrix. Its product is formed one square sector
+block at a time, multiplying by exp(-i*theta*P) as one column gather within the
+block. The spin flip commutes with every exchange and maps sector k's
+configurations onto sector N - k's in reverse order, so sector N - k's block is
+J M J, bit for bit, for sector k's block M and the reversal J: its leakage is the
+same entries permuted, and J M J is unitary exactly when M is. Hence only sector
+k of each mirror pair (k, N - k) is formed and checked. The dense products, and
+the measured sector products the closed forms replace, remain in the tests as
+independent oracles.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
-from itertools import repeat
+import math
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -114,42 +112,15 @@ def _times_exps(m: np.ndarray, factors: Sequence[np.ndarray], thetas: Iterable[f
 
 
 def _tail_sum_gate(word: ExchangeWord, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each local state's configuration, and the gate exp(-i*theta*(P_last2 + P_last)) on the tail spins.
+    """The gate exp(-i*theta*(P_a + P_b)) of the last two factors on the j <= 4 spins they touch, and P_a P_b there.
 
-    The sum acts on the k <= 4 spins the tail touches, so its 2^N x 2^N exponential
-    is this 2^k x 2^k gate times the identity on the rest. states[y] puts down the
-    tail spins that local state y does; spin 1 is the most significant bit in both.
+    The sum acts on those spins only, so its 2^N x 2^N exponential is this 2^j x 2^j gate
+    times the identity on the rest; spin 1 is the most significant bit of a local state.
     """
     spins = sorted(set(word.factors[-2]) | set(word.factors[-1]))
-    k = len(spins)
     local = {s: r for r, s in enumerate(spins, start=1)}
-    tail_sum = sum(exchange_permutation(k, local[i], local[j]).matrix() for i, j in word.factors[-2:])
-    states = sum((np.arange(1 << k) >> (k - r) & 1) << (word.n_spins - s) for s, r in local.items())
-    return states, expm(-1j * theta * tail_sum)
-
-
-def _times_exp_tail_sum(m: np.ndarray, idx: np.ndarray, states: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    """m @ exp(-i*theta*(P_last2 + P_last)) for m the block of the sector with configurations idx.
-
-    Column x of the product sums m[:, rest(x) | states[y]] * gate[y, local(x)] over the
-    y with a nonzero weight, in ascending y, rest(x) being x with the tail spins up. The
-    gate keeps the tail spins' down count, so every y that would leave the sector has
-    weight exactly 0. Row r of the term table holds each column's r-th term (at most four)
-    or, past its last, weight 0 on the column itself, whose signed zero changes no bit of the sum.
-    """
-    tail = idx & states[-1]
-    rest, local = idx ^ tail, np.searchsorted(states, tail)
-    weights = gate[:, local]
-    nonzero = weights != 0
-    ys = np.argsort(~nonzero, axis=0, kind="stable")[: nonzero.sum(axis=0).max()]
-    weights = np.take_along_axis(weights, ys, axis=0)
-    cols = np.where(weights != 0, np.searchsorted(idx, rest | states[ys]), np.arange(idx.size))
-    out = np.zeros_like(m)
-    for w, c in zip(weights, cols):
-        term = np.take(m, c, axis=1)
-        term *= w
-        out += term
-    return out
+    p_a, p_b = (exchange_permutation(len(spins), local[i], local[j]).matrix() for i, j in word.factors[-2:])
+    return expm(-1j * theta * (p_a + p_b)), p_a @ p_b
 
 
 def _require_commuting_tail(word: ExchangeWord) -> None:
@@ -167,51 +138,22 @@ def _mirror_pairs(n_spins: int) -> Iterator[tuple[int, int]]:
     return ((k, n_spins - k) for k in range(n_spins // 2 + 1))
 
 
-def _mirror(block: np.ndarray) -> np.ndarray:
-    """Sector N - k's block of a product from sector k's: a contiguous copy, which products round as usual."""
-    return np.ascontiguousarray(block[::-1, ::-1])
-
-
 def _phased(block: np.ndarray, phase: complex) -> np.ndarray:
     """block scaled in place by phase, a power of i, which multiplies exactly."""
     block *= phase
     return block
 
 
-def _sector_chain_forms(maps: _SectorMaps, theta: float) -> Iterator[tuple[int, dict]]:
-    """Each sector's down count and its blocks of the factored forms at coupling theta, by mirror pairs.
-
-    Sector k yields all three forms, sector N - k != k only the tail sum: its other two are sector k's mirrored.
-    """
-    word = maps.word
-    m = len(word.factors)
-    states, gate = _tail_sum_gate(word, theta)
-    for k, mirror in _mirror_pairs(word.n_spins):
-        idx, factors = maps.members[k], maps.factors[k]
-        head = _times_exps(identity(idx.size), factors[:-2], repeat(theta))
-        yield k, {
-            FORM_FACTORED: _phased(_times_exps(head.copy(), factors[-2:], repeat(theta)), 1j**m),
-            FORM_TAIL_SUM: _phased(_times_exp_tail_sum(head, idx, states, gate), 1j**m),
-            FORM_TAIL_PRODUCT: _phased(_times_exps(head.copy(), [maps.products[k][1]], [theta]), 1j ** (m - 1)),
-        }
-        if mirror != k:
-            head, idx = _mirror(head), maps.members[mirror]  # sector k's head is freed before the tail sum
-            yield mirror, {FORM_TAIL_SUM: _phased(_times_exp_tail_sum(head, idx, states, gate), 1j**m)}
-
-
-def _deviation(block: np.ndarray, product: np.ndarray, sign: float) -> float:
-    """The largest entry of |block - sign * P|, for P the permutation matrix of the index map product.
-
-    P holds a 1 at (product[x], x) in each column x and 0 elsewhere, so the difference is the
-    block off those entries and block - sign on them: bit for bit the dense comparison.
-    """
-    cols = np.arange(product.size)
-    mags = np.abs(block)
-    mags[product, cols] = np.abs(block[product, cols] - sign)
-    dev = float(mags.max())
-    if not np.isfinite(dev):
-        raise ValueError("matrix entries must be finite")
-    return dev
+def _check_offsets(epsilon: Union[float, Sequence[float]], n_factors: int) -> np.ndarray:
+    """The coupling offsets, one per factor: epsilon is one finite offset for every factor or n_factors of them."""
+    offsets = np.asarray(epsilon, dtype=float)
+    if offsets.ndim == 0:
+        offsets = np.full(n_factors, offsets)
+    if offsets.shape != (n_factors,):
+        raise ValueError(f"need one offset or {n_factors} of them, got shape {offsets.shape}")
+    if not np.all(np.isfinite(offsets)):
+        raise ValueError("offsets must be finite")
+    return offsets
 
 
 def _perturbed_blocks(
@@ -222,14 +164,7 @@ def _perturbed_blocks(
     Sector N - k's block, sector k's mirrored, is not formed. The offsets are checked before the first block is.
     """
     m = len(maps.word.factors)
-    offsets = np.asarray(epsilon, dtype=float)
-    if offsets.ndim == 0:
-        offsets = np.full(m, offsets)
-    if offsets.shape != (m,):
-        raise ValueError(f"need one offset or {m} of them, got shape {offsets.shape}")
-    if not np.all(np.isfinite(offsets)):
-        raise ValueError("offsets must be finite")
-    thetas = 0.5 * np.pi + offsets
+    thetas = 0.5 * np.pi + _check_offsets(epsilon, m)
     for k, _ in _mirror_pairs(maps.word.n_spins):
         yield k, _phased(_times_exps(identity(maps.members[k].size), maps.factors[k], thetas), 1j**m)
 
@@ -241,15 +176,13 @@ class _SectorMaps:
     sector's positions: the exchange rule applied to the sector's configurations, each image
     located among them by np.searchsorted. Each map is checked once where it is made: a
     factor that leaves its sector or does not square to the identity yields no map.
-    products[k] holds the sector's map of the whole product and that of the merged tail
-    product, the latter checked the same way. Only index maps and the form deviations found
-    so far are kept, never a block.
+    tail_products[k] holds the sector's map of the merged tail product, checked the same way.
+    Only index maps are kept, never a block.
     """
 
     def __init__(self, word: ExchangeWord):
         self.word = word
         self.members = _sectors(word.n_spins)
-        self._deviations: dict[tuple[float, float], dict[str, float]] = {}
 
     @cached_property
     def factors(self) -> list[np.ndarray]:
@@ -264,8 +197,8 @@ class _SectorMaps:
         return maps
 
     @cached_property
-    def products(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(reduce(np.take, f), _involution(f[-2][f[-1]])) for f in self.factors]
+    def tail_products(self) -> list[np.ndarray]:
+        return [_involution(f[-2][f[-1]]) for f in self.factors]
 
     def chain(self, timestep: float) -> dict[str, float]:
         """:func:`bch_chain` of the word."""
@@ -273,7 +206,7 @@ class _SectorMaps:
         perm = evolution_permutation(word)  # first, so a word refused below still warns of untouched spins
         _require_commuting_tail(word)
         coeffs = uniform_polynomial_form(perm, timestep)
-        deviations = dict(self._form_deviations(np.pi / 2, 1.0))  # a copy: the kept ones stay three forms
+        deviations = self._form_deviations(np.pi / 2, 1.0)
         shifts = [shift_permutation(length) for length in perm.cycles_by_length]
         deviations[FORM_HAMILTONIAN] = max(
             max_abs_diff(expm(-1j * timestep * polynomial_matrix(s, coeffs)), s.matrix()) for s in shifts
@@ -297,23 +230,38 @@ class _SectorMaps:
         return max(superposition_leakage(block) for _, block in _perturbed_blocks(self, epsilon))
 
     def _form_deviations(self, theta: float, sign: float) -> dict[str, float]:
-        """Each factored form's largest departure from its sign times the product, by mirror pairs.
+        """Each factored form's largest entrywise departure from its sign times the product.
 
-        Every single-factor exponential carries the sign, so the factored and tail-sum forms
-        carry sign^m and the tail-product form sign^(m-1). Kept per (theta, sign): the check at
-        k = 0, plus_half has theta = pi/2 exactly and sign +1, and reads the chain's deviations.
+        The factored and tail-sum forms carry sign^m, the tail-product form sign^(m-1). Every
+        factor map and tail-product map is read first, and so checked in integers to be an
+        involution of its sector: that is what makes each form exact. Each factor
+        i*exp(-i*theta*P) is then i*c + s*P for the floats c = cos(theta) and s = sin(theta):
+        sign*P plus a departure i*c + (s - sign)*P, at most delta = |c| + |s - sign| in any row's
+        l1 norm. To first order in delta, and with no sector product formed:
+          * exp_each_factor departs by m*delta and exp_tail_product by (m - 1)*delta. A first-order
+            term is the product with one factor's sign*P replaced by its departure, so it holds at
+            most delta in any entry. Every exchange fixes the all-up configuration, where all m
+            (or m - 1) terms add up alike, and no entry collects more.
+          * exp_tail_sum is head @ G, for the m - 2 head factors and the 2^j x 2^j gate
+            G = exp(-i*theta*(P_a + P_b)) of the tail, whose ideal is (-i*sign)^2 * P_a P_b = -P_a P_b.
+            Every term of the head's departure is a phased permutation, so each of its rows has
+            l1 norm at most (1 + delta)^(m-2) - 1, and G's entries are at most 1 + g for
+            g = max |G + P_a P_b|. G's departure, tensored with the identity on the other spins,
+            keeps g as its largest entry, and the head's ideal only permutes its rows. So
+            ((1 + delta)^(m-2) - 1) * (1 + g) + g bounds the form's departure.
+        (1 + delta)^(m-2) - 1 is taken as expm1((m - 2) * log1p(delta)): at theta = pi/2,
+        delta = 6.1e-17 and 1 + delta rounds to 1. s rounds to sign exactly for every |k| < 1.2e7.
         """
-        key = (theta, sign)
-        if key not in self._deviations:
-            m = len(self.word.factors)
-            signs = {FORM_FACTORED: sign**m, FORM_TAIL_SUM: sign**m, FORM_TAIL_PRODUCT: sign ** (m - 1)}
-            deviations: dict[str, float] = {}
-            for k, forms in _sector_chain_forms(self, theta):
-                for label, block in forms.items():
-                    dev = _deviation(block, self.products[k][0], signs[label])
-                    deviations[label] = max(deviations.get(label, dev), dev)
-            self._deviations[key] = deviations
-        return self._deviations[key]
+        self.tail_products  # builds and checks every factor map and tail-product map
+        m = len(self.word.factors)
+        delta = float(abs(np.cos(theta)) + abs(np.sin(theta) - sign))
+        gate, tail = _tail_sum_gate(self.word, theta)
+        g = max_abs_diff(gate, -tail)
+        return {
+            FORM_FACTORED: m * delta,
+            FORM_TAIL_SUM: math.expm1((m - 2) * math.log1p(delta)) * (1 + g) + g,
+            FORM_TAIL_PRODUCT: (m - 1) * delta,
+        }
 
 
 def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> dict[str, float]:
@@ -324,8 +272,10 @@ def bch_chain(word: ExchangeWord, timestep: float = 1.0) -> dict[str, float]:
       * exp_tail_sum:     i^m * (head exponentials) * exp(-i*(pi/2)*(P_last2 + P_last))
       * exp_tail_product: i^(m-1) * (head exponentials) * exp(-i*(pi/2)*P_last2 @ P_last)
       * exp_hamiltonian:  exp(-i*T*H) with H the uniform polynomial Hamiltonian
-    All four equal the permutation product exactly. The first three are compared with it
-    sector by sector, exp_hamiltonian once per cycle length L: on every such cycle H is
+    All four equal the permutation product exactly. The first three departures are closed
+    forms of the rounding of cos(pi/2) and sin(pi/2), that of exp_tail_sum an upper bound which
+    also reads the tail gate (see _SectorMaps._form_deviations). exp_hamiltonian is compared
+    with the product once per cycle length L: on every such cycle H is
     sum_k c_k S^k for the L-point shift S.
     """
     return _SectorMaps(word).chain(timestep)

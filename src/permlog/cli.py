@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .bch import COUPLING_FAMILIES, PreconditionViolation, _SectorMaps
+from .bch import COUPLING_FAMILIES, PreconditionViolation, _check_offsets, _SectorMaps
 from .cogwheel import (
     _check_size,
     _phase_vector,
@@ -54,7 +54,8 @@ from .linalg import (
 from .spins import SPIN_CAP, SpinConfiguration, _check_spin_count, four_spin_state_label, number_down, spinflip
 
 SCHEMA_VERSION = 1
-MAX_SWEEP_STEPS = 1000  # each sweep step or coupling check builds and checks the sector blocks of one unitary
+MAX_SWEEP_STEPS = 1000  # each sweep step builds and checks the sector blocks of one unitary; the coupling checks
+# (O(m) each, no block) share the cap
 # cogwheel builds dense n x n matrices and checks them in O(n^3). Wall time and peak memory on a 2-vCPU
 # x86_64 host with one BLAS thread, in csv, json and pretty: n = 512 took 0.95 s / 79 MB and 1.94 s / 125 MB;
 # n = 1024 took 6.8 s / 217 MB, 10.1 s / 373 MB and 6.9 s / 228 MB; n = 2048 took 45 s / 741 MB in csv. The
@@ -420,7 +421,8 @@ def _cmd_bch(args) -> dict:
     word = parse_word(args.word, n)
     eps_values = None if args.epsilon_sweep is None else _parse_sweep(args.epsilon_sweep)
     maps = _SectorMaps(word)  # the word's sector maps, built once for every check below
-    leak = None if args.epsilon is None else maps.leakage(args.epsilon)  # refuses bad offsets before any block
+    if args.epsilon is not None:
+        _check_offsets(args.epsilon, len(word.factors))
     if args.format == "csv" and eps_values is None:
         raise ValueError("CSV export is only available for flat data (spectra and sweeps)")
 
@@ -447,6 +449,7 @@ def _cmd_bch(args) -> dict:
     if eps_values is not None:
         results["sweep"] = [[eps, maps.leakage(eps)] for eps in eps_values.tolist()]
     if args.epsilon is not None:
+        leak = maps.leakage(args.epsilon)
         results["perturbation"] = {"epsilon": args.epsilon, "leakage": leak}
         if args.epsilon == 0.0:
             verifications.append(_check("zero_coupling_leakage", leak, DEFAULT_UNITARITY_TOL))

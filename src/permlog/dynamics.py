@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cogwheel import cogwheel_energies, cogwheel_hamiltonian, polynomial_coefficients
+from .linalg import as_matrix
 from .permutation import Permutation
 from .spins import _check_pair, _check_spin_count, exchange_configurations
 
@@ -182,7 +183,7 @@ def polynomial_matrix(perm: Permutation, coefficients) -> np.ndarray:
         if k:
             image = perm.map[image]
         total[image, columns] += c
-    return total
+    return as_matrix(total)  # refuses a coefficient, or a sum of them, that is not finite
 
 
 def uniform_polynomial_form(perm: Permutation, timestep: float = 1.0) -> np.ndarray:

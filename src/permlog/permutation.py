@@ -71,6 +71,8 @@ class Permutation:
         return Permutation(np.argsort(self.map))
 
     def __pow__(self, exponent: int) -> "Permutation":
+        if not _is_integer(exponent):
+            raise ValueError(f"exponent must be an integer, got {exponent!r}")
         base = self if exponent >= 0 else self.inverse()
         k = abs(exponent)
         out = Permutation.identity(self.size)

@@ -84,12 +84,23 @@ def assemble(blocks, n_spins):
     return out
 
 
+def tail_states(word):
+    """Each local state of the tail spins as a configuration: states[y] puts down the tail spins that y does.
+
+    The tail spins are the at most four spins the last two factors touch; spin 1 is the most
+    significant bit in both the local state and the configuration.
+    """
+    spins = sorted(set(word.factors[-2]) | set(word.factors[-1]))
+    k = len(spins)
+    return sum((np.arange(1 << k) >> (k - r) & 1) << (word.n_spins - s) for r, s in enumerate(spins, start=1))
+
+
 def loop_times_exp_tail_sum(m, idx, states, gate):
     """m @ exp(-i*theta*(P_last2 + P_last)) on a sector block, one pass per local state of the tail spins.
 
     For each local state y, every column x whose gate weight gate[y, local(x)] is nonzero
     adds m[:, rest(x) | states[y]] times that weight, rest(x) being x with the tail spins
-    up: the per-state loop that the library's table of each column's terms replaces.
+    up. The library forms no such product: it bounds the tail-sum form's deviation instead.
     """
     tail = idx & states[-1]
     rest, local = idx ^ tail, np.searchsorted(states, tail)
@@ -137,13 +148,13 @@ def every_sector_heads(word, theta):
 def every_sector_chain_forms(word, theta):
     """Each sector's configurations, factors and three factored-form blocks, every sector formed in full.
 
-    The sector-by-sector evaluation without the spin-flip mirror and with the per-state
-    tail-sum loop: the library forms one sector of each pair (k, N - k), takes sector
-    N - k's deviations from it, and tables each column's tail-sum terms; every block it
-    forms, and every block mirrored from one, must agree with this bit for bit.
+    The measured sector products that the library's closed forms replace: its
+    exp_each_factor and exp_tail_product deviations must agree with these blocks' within
+    a few ulps, and its exp_tail_sum bound must lie at or above theirs.
     """
     m = len(word.factors)
-    states, gate = _tail_sum_gate(word, theta)
+    states = tail_states(word)
+    gate, _ = _tail_sum_gate(word, theta)
     for idx, factors, head in every_sector_heads(word, theta):
         tail = _involution(factors[-2][factors[-1]])
         yield idx, factors, {

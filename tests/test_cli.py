@@ -581,6 +581,23 @@ def test_bch_csv_without_sweep_is_usage_error(capsys, monkeypatch):
     assert "CSV" in captured.err
 
 
+@pytest.mark.parametrize(
+    "epsilon, message",
+    [("0.01", "CSV export is only available for flat data (spectra and sweeps)"), ("nan", "offsets must be finite")],
+)
+def test_bch_epsilon_csv_without_sweep_is_refused_before_any_block(epsilon, message, capsys, monkeypatch):
+    # the offset is checked first, then the format, and only then is a sector block formed for its leakage
+    def refuse(*args):
+        raise AssertionError("formed a sector block before rejecting the format")
+
+    monkeypatch.setattr(permlog.bch, "_times_exps", refuse)
+    code = main(["bch", "--n", "4", "--word", "P23 P12 P34", "--epsilon", epsilon, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_bch_negative_k_range_is_usage_error(capsys):
     code = main(["bch", "--n", "4", "--word", "P23 P12 P34", "--k-range", "-1", "--format", "json"])
     captured = capsys.readouterr()

@@ -270,6 +270,12 @@ def test_polynomial_matrix_horner_matches_direct():
     assert max_abs_diff(polynomial_matrix(perm, coeffs), direct) <= 1e-13
 
 
+@pytest.mark.parametrize("coeffs", [[np.nan], [1.0, np.inf], [0.5, complex(0.0, np.nan)]])
+def test_polynomial_matrix_refuses_coefficients_that_are_not_finite(coeffs):
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        polynomial_matrix(Permutation([1, 2, 0]), coeffs)
+
+
 def dense_polynomial_matrix(perm, coeffs):
     """Dense reference: M^k by repeated matrix products, c_k * M^k summed in k order."""
     m = perm.matrix()

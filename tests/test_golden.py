@@ -28,6 +28,15 @@ The `cogwheel` documents that show `coefficients_reconstruct` (`cogwheel-n4.json
 regenerated again when that check stopped comparing the polynomial in the shift
 with the circulant of the same coefficients, which read exactly 0, and began
 comparing it with the spectral form D diag(T*E) D^dagger; only that error changed.
+
+The documents that hold a `bch` chain (`bch-n4-word.*`, `bch-n4-sweep.json`,
+`bch-n4-sweep.pretty`, `bch-n4-epsilon.pretty` and the `bch --n 6` and `bch --n 9`
+digests) were regenerated when the factored forms' deviations stopped being measured
+on sector products and became closed forms of cos(theta), sin(theta) and the tail
+gate. exp_each_factor and exp_tail_product kept their bytes. exp_tail_sum became
+its bound, at or above the measured value (4.4829078259753189e-16 ->
+5.0618806616280474e-16 at n = 4), and with it its `max_error` and, in the `bch --n 6`
+digest, `max_deviation`; every exit code and verdict stayed the same.
 """
 
 import hashlib

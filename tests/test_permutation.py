@@ -172,6 +172,19 @@ def test_operations_match_tuple_reference(pair, k):
     assert np.array_equal(pp.matrix() @ qq.matrix(), (pp * qq).matrix())
 
 
+@pytest.mark.parametrize("exponent", [2.5, True, 2.0, "2"])
+def test_power_refuses_an_exponent_that_is_not_an_integer(exponent):
+    # a bool is no integer here, as for every size and label: ** True is not ** 1
+    with pytest.raises(ValueError, match=r"^exponent must be an integer, got "):
+        Permutation([1, 2, 0]) ** exponent
+
+
+def test_power_takes_numpy_integers():
+    p = Permutation([1, 2, 0])
+    assert p ** np.int64(3) == Permutation.identity(3)
+    assert p ** np.int32(-1) == p.inverse()
+
+
 def test_cycles_are_computed_once_per_instance():
     p = Permutation((1, 0, 3, 4, 5, 2))
     assert p.cycles() is p.cycles()
