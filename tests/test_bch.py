@@ -915,8 +915,10 @@ def test_shared_sector_maps_match_the_every_sector_path(n, tail):
 # tail gate; the measured sector products in tests/oracles.py are the oracle they answer to.
 
 
-def test_chain_and_coupling_checks_form_no_sector_product(monkeypatch):
-    word = random_commuting_tail_word(400, "disjoint", 6)
+@pytest.mark.parametrize("tail", ["disjoint", "repeated"])
+@pytest.mark.parametrize("n", range(4, 10))
+def test_chain_and_coupling_checks_form_no_sector_product(monkeypatch, n, tail):
+    word = random_commuting_tail_word(400 + n, tail, n)
     checks = [(k, family) for k in (-2, 0, 1) for family in COUPLING_FAMILIES]
     chain, verdicts = bch_chain(word), [coupling_variant_check(word, k, family) for k, family in checks]
 
@@ -962,8 +964,11 @@ def test_closed_forms_against_the_measured_sector_products(n, tail, family):
         assert coupling_variant_check(word, 5 * 10**7, family, CHAIN_TOL) == verdict
 
 
-def test_a_spoiled_tail_gate_fails_the_tail_sum_and_the_coupling_checks(monkeypatch):
-    word = random_commuting_tail_word(400, "disjoint", 6)
+@pytest.mark.parametrize("tail", ["disjoint", "repeated"])
+@pytest.mark.parametrize("n", range(4, 10))
+def test_a_spoiled_tail_gate_fails_the_tail_sum_and_the_coupling_checks(monkeypatch, n, tail):
+    word = random_commuting_tail_word(400 + n, tail, n)
+    assert all(coupling_variant_check(word, 0, family) for family in COUPLING_FAMILIES)
     gate = permlog.bch._tail_sum_gate
 
     def spoiled(word, theta):
