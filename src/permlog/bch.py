@@ -21,22 +21,25 @@ per distinct cycle length.
 
 Perturbing the pi/2 couplings breaks the closed forms: the product stops being
 a phased permutation, quantified by :func:`superposition_leakage`. The leakage is
-the one result that needs a matrix. Its product is formed one square sector
-block at a time, multiplying by exp(-i*theta*P) as one column gather within the
-block. The spin flip commutes with every exchange and maps sector k's
-configurations onto sector N - k's in reverse order, so sector N - k's block is
-J M J, bit for bit, for sector k's block M and the reversal J: its leakage is the
-same entries permuted, and J M J is unitary exactly when M is. Hence only sector
-k of each mirror pair (k, N - k) is formed and checked. The dense products, and
-the measured sector products the closed forms replace, remain in the tests as
-independent oracles.
+the one result that needs a matrix, and every leakage of a sweep comes from one
+pass over the sectors. The spin flip commutes with every exchange and maps sector
+k's configurations onto sector N - k's in reverse order, so sector N - k's block
+is J M J, bit for bit, for sector k's block M and the reversal J: its leakage is
+the same entries permuted, and J M J is unitary exactly when M is. Hence only
+sector k of each mirror pair (k, N - k) is formed and checked. Its blocks for
+several sweep steps are stacked, as many as fit in one block of the largest
+sector, and held transposed, so that multiplying by exp(-i*theta*P) is one row
+gather per factor into the second of two work blocks allocated once per call.
+The phase i^m changes neither |M| nor M M^dagger, so it is not applied. The dense
+products, the one-step products and the measured sector products the closed forms
+replace remain in the tests as independent oracles.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -55,7 +58,6 @@ from .linalg import (
     _check_positive,
     as_matrix,
     expm,
-    identity,
     max_abs_diff,
 )
 from .permutation import _is_integer
@@ -95,22 +97,6 @@ def _involution(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def _times_exps(m: np.ndarray, factors: Sequence[np.ndarray], thetas: Iterable[float]) -> np.ndarray:
-    """m @ exp(-i*theta_1*P_1) @ exp(-i*theta_2*P_2) @ ..., one column gather per involution map P_f.
-
-    exp(-i*theta*P) = cos(theta)*I - i*sin(theta)*P, and (m @ P)[:, x] = m[:, P(x)],
-    so each factor costs O(dim^2) instead of a dense O(dim^3) matrix product. m is scaled
-    in place, so a caller that reuses it passes a copy; each factor allocates only its gather.
-    """
-    for q, theta in zip(factors, thetas):
-        out = np.take(m, q, axis=1)
-        out *= -1j * np.sin(theta)
-        m *= np.cos(theta)
-        out += m
-        m = out
-    return m
-
-
 def _tail_sum_gate(word: ExchangeWord, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """The gate exp(-i*theta*(P_a + P_b)) of the last two factors on the j <= 4 spins they touch, and P_a P_b there.
 
@@ -138,12 +124,6 @@ def _mirror_pairs(n_spins: int) -> Iterator[tuple[int, int]]:
     return ((k, n_spins - k) for k in range(n_spins // 2 + 1))
 
 
-def _phased(block: np.ndarray, phase: complex) -> np.ndarray:
-    """block scaled in place by phase, a power of i, which multiplies exactly."""
-    block *= phase
-    return block
-
-
 def _check_offsets(epsilon: Union[float, Sequence[float]], n_factors: int) -> np.ndarray:
     """The coupling offsets, one per factor: epsilon is one finite offset for every factor or n_factors of them."""
     offsets = np.asarray(epsilon, dtype=float)
@@ -154,19 +134,6 @@ def _check_offsets(epsilon: Union[float, Sequence[float]], n_factors: int) -> np
     if not np.all(np.isfinite(offsets)):
         raise ValueError("offsets must be finite")
     return offsets
-
-
-def _perturbed_blocks(
-    maps: _SectorMaps, epsilon: Union[float, Sequence[float]]
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Sector k's down count and its block of :func:`perturbation_leakage`'s product, per mirror pair (k, N - k).
-
-    Sector N - k's block, sector k's mirrored, is not formed. The offsets are checked before the first block is.
-    """
-    m = len(maps.word.factors)
-    thetas = 0.5 * np.pi + _check_offsets(epsilon, m)
-    for k, _ in _mirror_pairs(maps.word.n_spins):
-        yield k, _phased(_times_exps(identity(maps.members[k].size), maps.factors[k], thetas), 1j**m)
 
 
 class _SectorMaps:
@@ -219,6 +186,8 @@ class _SectorMaps:
             raise ValueError(f"family must be one of {COUPLING_FAMILIES}, got {family!r}")
         if not _is_integer(k):  # exp(-i*(theta + 2*pi*k)*P) = exp(-i*theta*P) needs an integer k
             raise ValueError(f"k must be an integer, got {k!r}")
+        if abs(k) >= 2**51:  # beyond it 2k + 1/2 is not exact in a float, and the tail gate's expm overflows
+            raise ValueError(f"k must be below 2**51 in magnitude, got {k!r}")
         _check_positive(tol, "tolerance")
         _require_commuting_tail(self.word)
         theta = (2 * k + (0.5 if family == "plus_half" else 1.5)) * np.pi
@@ -227,7 +196,54 @@ class _SectorMaps:
 
     def leakage(self, epsilon: Union[float, Sequence[float]]) -> float:
         """:func:`perturbation_leakage` of the word."""
-        return max(superposition_leakage(block) for _, block in _perturbed_blocks(self, epsilon))
+        return self.leakages([epsilon])[0]
+
+    def leakages(self, offsets: Sequence[Union[float, Sequence[float]]]) -> list[float]:
+        """:func:`perturbation_leakage` of the word at each offset, from one pass over the mirror sectors.
+
+        Every offset is checked before the first block is formed.
+        """
+        m = len(self.word.factors)
+        thetas = 0.5 * np.pi + np.array([_check_offsets(eps, m) for eps in offsets])
+        leaks = np.zeros(len(thetas))
+        for steps, product, free in self._stacked_products(thetas):
+            np.maximum(leaks[steps], _leakages(product, free), out=leaks[steps])
+        return leaks.tolist()
+
+    def _stacked_products(self, thetas: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """The steps, the product and the free work block of each chunk of sector k of each mirror pair.
+
+        thetas holds one row of couplings per step. The product is the (steps, d, d) stack of the
+        transposes M^T of sector k's blocks M = exp(-i*theta_1*P_1) @ exp(-i*theta_2*P_2) @ ... of
+        those steps, d = C(N, k). A chunk holds as many steps as fit in one block of the largest
+        sector, and every chunk is a view of the same two work blocks, so the caller reads it
+        before the next one. exp(-i*theta*P) = cos(theta)*I - i*sin(theta)*P, and
+        (M @ P)^T = P @ M^T is the row gather M^T[q] for P's index map q: each factor costs the
+        gather into the free block, its scaling by -i*sin(theta), and the old block scaled by
+        cos(theta) and added, and allocates nothing. The maps are checked to lie in range, so
+        mode="wrap" never wraps (mode="raise" would buffer the gather).
+        """
+        # np.cos and np.sin of each angle alone, as a vectorised loop may round differently; complex, so that
+        # scaling a block casts nothing
+        cosines = np.array([[np.cos(t) for t in row] for row in thetas], dtype=complex)
+        sines = np.array([[-1j * np.sin(t) for t in row] for row in thetas], dtype=complex)
+        largest = max(idx.size for idx in self.members) ** 2
+        work = np.empty((2, largest), dtype=complex)
+        for k, _ in _mirror_pairs(self.word.n_spins):
+            d = self.members[k].size
+            count = largest // (d * d)
+            for start in range(0, len(thetas), count):
+                steps = slice(start, min(start + count, len(thetas)))
+                a, b = (w[: (steps.stop - start) * d * d].reshape(-1, d, d) for w in work)
+                a.fill(0)
+                a.reshape(-1, d * d)[:, :: d + 1] = 1
+                for f, q in enumerate(self.factors[k]):
+                    np.take(a, q, axis=1, out=b, mode="wrap")
+                    b *= sines[steps, f, None, None]
+                    a *= cosines[steps, f, None, None]
+                    b += a
+                    a, b = b, a
+                yield steps, a, b
 
     def _form_deviations(self, theta: float, sign: float) -> dict[str, float]:
         """Each factored form's largest entrywise departure from its sign times the product.
@@ -291,20 +307,43 @@ def coupling_variant_check(word: ExchangeWord, k: int, family: str, tol: float =
     return _SectorMaps(word).coupling_check(k, family, tol)
 
 
-def _unitarity_residual(m: np.ndarray) -> float:
-    """The largest entry of |M M^dagger - I|, or inf or nan where one overflows.
+def _unitarity_residuals(t: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The largest entry of |M M^dagger - I| for each M of the stack t of transposes M^T, or inf or nan where one overflows.
 
-    With M = A + iB, M M^dagger = (A A^T + B B^T) + i(B A^T - (B A^T)^T): three real
-    products instead of one complex one.
+    scratch, a real array of shape (2, *t.shape), is overwritten with the real and imaginary
+    parts A^T and B^T of t, for M = A + iB. Then M M^dagger = (A A^T + B B^T) + i(B A^T - (B A^T)^T):
+    three real products instead of one complex one.
     """
-    a, b = m.real.copy(), m.imag.copy()
+    at, bt = scratch
+    np.copyto(at, t.real)
+    np.copyto(bt, t.imag)
     with np.errstate(over="ignore", invalid="ignore"):
-        re = a @ a.T
-        re += b @ b.T
-        re[np.diag_indices_from(re)] -= 1.0
-        im = b @ a.T
-        im -= im.T  # numpy buffers the overlapping operand
-        return float(np.sqrt((re * re + im * im).max()))
+        re = np.matmul(at.swapaxes(1, 2), at)
+        re += np.matmul(bt.swapaxes(1, 2), bt)
+        re.reshape(len(t), -1)[:, :: t.shape[1] + 1] -= 1.0
+        im = np.matmul(bt.swapaxes(1, 2), at)
+        im -= im.swapaxes(1, 2)  # numpy buffers the overlapping operand
+        re *= re
+        im *= im
+        re += im
+        return np.sqrt(re.max(axis=(1, 2)))
+
+
+def _leakages(t: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """:func:`superposition_leakage` of each M of the stack t of transposes M^T; free, as large as t, is overwritten.
+
+    M's columns are the rows of M^T, so a column's peak is the largest |entry|^2 of a row of t.
+    """
+    if not np.isfinite(t).all():
+        raise ValueError("matrix entries must be finite")
+    scratch = free.view(float).reshape(2, *t.shape)
+    dev = _unitarity_residuals(t, scratch)
+    failed = ~(dev <= DEFAULT_UNITARITY_TOL)
+    if failed.any():
+        raise NonUnitaryError(f"matrix is unitary only within {dev[failed.argmax()]:.3e}")
+    peaks = np.abs(t, out=scratch[0])
+    peaks *= peaks
+    return np.minimum(1.0, np.maximum(0.0, (1.0 - peaks.max(axis=2)).max(axis=1)))
 
 
 def superposition_leakage(m) -> float:
@@ -315,12 +354,8 @@ def superposition_leakage(m) -> float:
     matrices; 1/2 on an equal-weight two-state mixer. Raises NonUnitaryError
     unless M is unitary within DEFAULT_UNITARITY_TOL.
     """
-    m = as_matrix(m)
-    dev = _unitarity_residual(m)
-    if not dev <= DEFAULT_UNITARITY_TOL:
-        raise NonUnitaryError(f"matrix is unitary only within {dev:.3e}")
-    column_peaks = (np.abs(m) ** 2).max(axis=0)
-    return float(min(1.0, max(0.0, (1.0 - column_peaks).max())))
+    t = as_matrix(m).T.copy()[None]
+    return float(_leakages(t, np.empty_like(t))[0])
 
 
 def perturbation_leakage(word: ExchangeWord, epsilon: Union[float, Sequence[float]] = 0.0) -> float:

@@ -14,6 +14,7 @@ verifications passed, 1 some verification failed, 2 usage error or out of memory
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -447,7 +448,7 @@ def _cmd_bch(args) -> dict:
         results["coupling_variants"] = variants
 
     if eps_values is not None:
-        results["sweep"] = [[eps, maps.leakage(eps)] for eps in eps_values.tolist()]
+        results["sweep"] = [[eps, leak] for eps, leak in zip(eps_values.tolist(), maps.leakages(eps_values))]
     if args.epsilon is not None:
         leak = maps.leakage(args.epsilon)
         results["perturbation"] = {"epsilon": args.epsilon, "leakage": leak}
@@ -528,8 +529,14 @@ def _show_warning(show):
     return show_warning
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: main parses every call with it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _validate(args)
         with warnings.catch_warnings():

@@ -13,13 +13,14 @@ from itertools import repeat
 import numpy as np
 from hypothesis import strategies as st
 
-from permlog.bch import (FORM_FACTORED, FORM_HAMILTONIAN, FORM_TAIL_PRODUCT, FORM_TAIL_SUM, _involution,
-                         _require_commuting_tail, _sectors, _tail_sum_gate, _times_exps, superposition_leakage)
+from permlog.bch import (FORM_FACTORED, FORM_HAMILTONIAN, FORM_TAIL_PRODUCT, FORM_TAIL_SUM, _check_offsets,
+                         _involution, _mirror_pairs, _require_commuting_tail, _sectors, _tail_sum_gate,
+                         superposition_leakage)
 from permlog.cogwheel import cogwheel_energies, diagonalizer, shift_permutation
 from permlog.dynamics import (ExchangeWord, _cycle_blocks, evolution_permutation,
                               polynomial_matrix, uniform_polynomial_form)
-from permlog.linalg import (DEFAULT_UNITARITY_TOL, DimensionMismatch, InvolutionViolation, as_matrix, dagger,
-                            expm, identity, max_abs_diff)
+from permlog.linalg import (DEFAULT_UNITARITY_TOL, DimensionMismatch, InvolutionViolation, NonUnitaryError,
+                            as_matrix, dagger, expm, identity, max_abs_diff)
 from permlog.permutation import Permutation
 from permlog.spins import exchange_permutation, number_down, spinflip
 
@@ -62,6 +63,68 @@ def dense_cogwheel_hamiltonian(n, timestep=1.0):
 def ifft_polynomial_coefficients(n, timestep=1.0):
     """The polynomial coefficients as the inverse DFT of the energies, h_k = (1/N) sum_n E_n e^{i*E_n*T*k}."""
     return np.fft.ifft(cogwheel_energies(n, timestep))
+
+
+def i_power(m: int) -> complex:
+    """i**m, exactly: Python's 1j**m rounds for m >= 101 (1j**200 is 1 + 1.96e-15j)."""
+    return (1, 1j, -1, -1j)[m % 4]
+
+
+def times_exps(m: np.ndarray, factors, thetas) -> np.ndarray:
+    """m @ exp(-i*theta_1*P_1) @ exp(-i*theta_2*P_2) @ ..., one column gather per involution map P_f.
+
+    exp(-i*theta*P) = cos(theta)*I - i*sin(theta)*P, and (m @ P)[:, x] = m[:, P(x)], so each
+    factor costs O(dim^2). m is scaled in place, so a caller that reuses it passes a copy; each
+    factor allocates its gather. The library's leakage kernel stacks the steps of a sweep and
+    gathers rows of the transposes into a preallocated block, with the same four operations
+    on every entry: this one-step form is its oracle.
+    """
+    for q, theta in zip(factors, thetas):
+        out = np.take(m, q, axis=1)
+        out *= -1j * np.sin(theta)
+        m *= np.cos(theta)
+        out += m
+        m = out
+    return m
+
+
+def unitarity_residual(m: np.ndarray) -> float:
+    """The largest entry of |M M^dagger - I| of one block from three real products, or inf or nan where one overflows."""
+    a, b = m.real.copy(), m.imag.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = a @ a.T
+        re += b @ b.T
+        re[np.diag_indices_from(re)] -= 1.0
+        im = b @ a.T
+        im -= im.T  # numpy buffers the overlapping operand
+        return float(np.sqrt((re * re + im * im).max()))
+
+
+def block_leakage(m) -> float:
+    """superposition_leakage of one block, checked by unitarity_residual: the columns' peaks taken directly."""
+    m = as_matrix(m)
+    dev = unitarity_residual(m)
+    if not dev <= DEFAULT_UNITARITY_TOL:
+        raise NonUnitaryError(f"matrix is unitary only within {dev:.3e}")
+    column_peaks = (np.abs(m) ** 2).max(axis=0)
+    return float(min(1.0, max(0.0, (1.0 - column_peaks).max())))
+
+
+def pair_products(maps, epsilon):
+    """Sector k's block of the perturbed product for each mirror pair (k, N - k), one step, no phase.
+
+    Each block starts from a fresh identity and takes one fresh gather per factor: the
+    one-step evaluation of the product that the library's stacked kernel must equal bit for bit.
+    """
+    thetas = 0.5 * np.pi + _check_offsets(epsilon, len(maps.word.factors))
+    for k, _ in _mirror_pairs(maps.word.n_spins):
+        yield times_exps(identity(maps.members[k].size), maps.factors[k], thetas)
+
+
+def pair_leakage(maps, epsilon):
+    """perturbation_leakage one step at a time: the largest block_leakage of i^m times each pair product."""
+    phase = i_power(len(maps.word.factors))
+    return max(block_leakage(phase * block) for block in pair_products(maps, epsilon))
 
 
 def exp_involution(p, theta: float, *, unitarity_tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
@@ -141,7 +204,7 @@ def every_sector_factors(word):
 
 def every_sector_heads(word, theta):
     """Each sector's configurations, factors and head product at coupling theta, every sector formed in full."""
-    return [(idx, factors, _times_exps(identity(idx.size), factors[:-2], repeat(theta)))
+    return [(idx, factors, times_exps(identity(idx.size), factors[:-2], repeat(theta)))
             for idx, factors in every_sector_factors(word)]
 
 
@@ -158,9 +221,9 @@ def every_sector_chain_forms(word, theta):
     for idx, factors, head in every_sector_heads(word, theta):
         tail = _involution(factors[-2][factors[-1]])
         yield idx, factors, {
-            FORM_FACTORED: (1j**m) * _times_exps(head.copy(), factors[-2:], repeat(theta)),
-            FORM_TAIL_SUM: (1j**m) * loop_times_exp_tail_sum(head, idx, states, gate),
-            FORM_TAIL_PRODUCT: (1j ** (m - 1)) * _times_exps(head.copy(), [tail], [theta]),
+            FORM_FACTORED: i_power(m) * times_exps(head.copy(), factors[-2:], repeat(theta)),
+            FORM_TAIL_SUM: i_power(m) * loop_times_exp_tail_sum(head, idx, states, gate),
+            FORM_TAIL_PRODUCT: i_power(m - 1) * times_exps(head.copy(), [tail], [theta]),
         }
 
 
@@ -193,7 +256,7 @@ def every_sector_chain(word, timestep=1.0):
 def every_sector_perturbed_blocks(word, epsilon):
     """Each sector's configurations and its block of the perturbed product, every sector formed in full."""
     offsets = np.broadcast_to(np.asarray(epsilon, dtype=float), len(word.factors))
-    return [(idx, (1j ** len(word.factors)) * _times_exps(identity(idx.size), factors, 0.5 * np.pi + offsets))
+    return [(idx, i_power(len(word.factors)) * times_exps(identity(idx.size), factors, 0.5 * np.pi + offsets))
             for idx, factors in every_sector_factors(word)]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,12 +24,11 @@ from permlog.bch import (
 )
 from permlog.bch import (
     _SectorMaps,
+    _check_offsets,
     _mirror_pairs,
-    _perturbed_blocks,
     _require_commuting_tail,
     _sectors,
-    _times_exps,
-    _unitarity_residual,
+    _unitarity_residuals,
 )
 from permlog.dynamics import (
     ExchangeWord,
@@ -61,8 +61,13 @@ from oracles import (
     every_sector_leakage,
     every_sector_perturbed_blocks,
     exp_involution,
+    i_power,
+    pair_leakage,
     position_table_factors,
+    random_words,
     repeating_words,
+    times_exps,
+    unitarity_residual,
 )
 
 CHAIN_TOL = 1e-10
@@ -114,19 +119,40 @@ INVOLUTIONS = [
     ids=["zero", "pi", "quarter_turn"],
 )
 def test_exp_involution_closed_form_angles(p, theta, phase, expected, tol):
-    assert max_abs_diff(phase * _times_exps(identity(p.size), [p.map], [theta]), expected(p)) <= tol
+    assert max_abs_diff(phase * times_exps(identity(p.size), [p.map], [theta]), expected(p)) <= tol
 
 
 @pytest.mark.parametrize("p", INVOLUTIONS)
 @pytest.mark.parametrize("theta", [0.1, np.pi / 4, np.pi / 2, 1.3])
 def test_exp_involution_agrees_with_series(p, theta):
     series = expm(-1j * theta * p.matrix())
-    assert max_abs_diff(_times_exps(identity(p.size), [p.map], [theta]), series) <= CLOSED_FORM_TOL
+    assert max_abs_diff(times_exps(identity(p.size), [p.map], [theta]), series) <= CLOSED_FORM_TOL
 
 
 def test_merged_sum_equals_merged_product(reference_word):
     forms = assembled_chain_forms(reference_word, np.pi / 2)
     assert max_abs_diff(forms[FORM_TAIL_SUM], forms[FORM_TAIL_PRODUCT]) < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [2**51, -(2**51), 10**299, np.int64(2**62)])
+def test_coupling_check_refuses_a_k_whose_angle_is_not_exact(monkeypatch, reference_word, k):
+    # beyond 2**51, 2k + 1/2 is not exact in a float; at 10**299 the tail gate's expm would overflow
+    def refuse(*args):
+        raise AssertionError("did work before refusing k")
+
+    monkeypatch.setattr(permlog.bch, "_tail_sum_gate", refuse)
+    monkeypatch.setattr(permlog.bch, "exchange_configurations", refuse)
+    for family in COUPLING_FAMILIES:
+        with pytest.raises(ValueError, match=re.escape(f"k must be below 2**51 in magnitude, got {k!r}")):
+            coupling_variant_check(reference_word, k, family)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coupling_check_accepts_the_largest_exact_k(reference_word):
+    for k in (2**51 - 1, -(2**51 - 1)):
+        for family in COUPLING_FAMILIES:
+            assert coupling_variant_check(reference_word, k, family) in (True, False)
 
 
 def test_chain_requires_commuting_tail():
@@ -174,7 +200,7 @@ def test_three_half_family_flips_the_product_sign(reference_word):
     u = evolution_permutation(reference_word).matrix()
     theta = 1.5 * np.pi
     mats = [exchange_permutation(4, i, j).matrix() for i, j in reference_word.factors]
-    product = (1j ** 3) * (
+    product = i_power(3) * (
         exp_involution(mats[0], theta)
         @ exp_involution(mats[1], theta)
         @ exp_involution(mats[2], theta)
@@ -287,6 +313,12 @@ def test_leakage_refuses_residuals_that_are_not_finite(m):
         superposition_leakage(m)
 
 
+def library_residual(block):
+    """The library's unitarity residual of one block, taken on the transposed stack its kernel forms."""
+    t = block.T.copy()[None]
+    return float(_unitarity_residuals(t, np.empty((2, *t.shape)))[0])
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_real_unitarity_residual_matches_the_complex_product(n):
     # the three real products against the one complex product they replace, on sector blocks
@@ -294,7 +326,8 @@ def test_real_unitarity_residual_matches_the_complex_product(n):
     blocks = [block for _, block in every_sector_perturbed_blocks(word, 0.013)]
     blocks += [form for _, _, forms in every_sector_chain_forms(word, 0.37) for form in forms.values()]
     for block in blocks:
-        assert abs(_unitarity_residual(block) - complex_unitarity_residual(block)) <= 1e-15
+        assert abs(library_residual(block) - complex_unitarity_residual(block)) <= 1e-15
+        assert abs(library_residual(block) - unitarity_residual(block)) <= 1e-15
 
 
 def test_leakage_zero_on_phased_permutations():
@@ -326,10 +359,20 @@ def _mirror(block):
     return np.ascontiguousarray(block[::-1, ::-1])
 
 
+def library_products(word, epsilon):
+    """Sector k's block of the perturbed product for each mirror pair (k, N - k), as the library's kernel forms it.
+
+    The kernel yields one chunk per pair for one step, sector k's transposed block with no phase.
+    """
+    thetas = 0.5 * np.pi + _check_offsets(epsilon, len(word.factors))[None]
+    return [product[0].T.copy() for _, product, _ in _SectorMaps(word)._stacked_products(thetas)]
+
+
 def library_perturbed_blocks(word, epsilon):
-    """Every sector's block of the perturbed product: the library's sector k of each pair, and its mirror."""
-    blocks = dict(_perturbed_blocks(_SectorMaps(word), epsilon))
-    return [blocks[k] if k in blocks else _mirror(blocks[word.n_spins - k]) for k in range(word.n_spins + 1)]
+    """Every sector's block of the perturbed product: the library's sector k of each pair, phased, and its mirror."""
+    phase = i_power(len(word.factors))
+    blocks = [phase * block for block in library_products(word, epsilon)]
+    return [blocks[k] if k < len(blocks) else _mirror(blocks[word.n_spins - k]) for k in range(word.n_spins + 1)]
 
 
 def perturbed_product(word, epsilon=0.0):
@@ -448,9 +491,9 @@ def dense_chain_forms(word, theta):
     for p in mats[:-2]:
         head = head @ exp_involution(p, theta)
     return {
-        FORM_FACTORED: (1j**m) * head @ exp_involution(mats[-2], theta) @ exp_involution(mats[-1], theta),
-        FORM_TAIL_SUM: (1j**m) * head @ expm(-1j * theta * (mats[-2] + mats[-1])),
-        FORM_TAIL_PRODUCT: (1j ** (m - 1)) * head @ exp_involution(mats[-2] @ mats[-1], theta),
+        FORM_FACTORED: i_power(m) * head @ exp_involution(mats[-2], theta) @ exp_involution(mats[-1], theta),
+        FORM_TAIL_SUM: i_power(m) * head @ expm(-1j * theta * (mats[-2] + mats[-1])),
+        FORM_TAIL_PRODUCT: i_power(m - 1) * head @ exp_involution(mats[-2] @ mats[-1], theta),
     }
 
 
@@ -555,7 +598,7 @@ def dense_head(word, theta):
     """The word's head exponentials as a dense matrix, by the column gathers the sector blocks use."""
     head = identity(1 << word.n_spins)
     for i, j in word.factors[:-2]:
-        head = _times_exps(head, [exchange_permutation(word.n_spins, i, j).map], [theta])
+        head = times_exps(head, [exchange_permutation(word.n_spins, i, j).map], [theta])
     return head
 
 
@@ -565,22 +608,26 @@ def dense_head(word, theta):
 def test_tail_sum_blocks_match_dense_contraction(n, tail, theta):
     # the oracle's per-sector gate against the full-matrix contraction
     word = random_commuting_tail_word(600 + n, tail, n)
-    dense = (1j ** len(word.factors)) * dense_times_exp_tail_sum(dense_head(word, theta), word, theta)
+    dense = i_power(len(word.factors)) * dense_times_exp_tail_sum(dense_head(word, theta), word, theta)
     assert off_sector_max(dense) == 0.0
     for idx, _, forms in every_sector_chain_forms(word, theta):
         assert max_abs_diff(forms[FORM_TAIL_SUM], dense[np.ix_(idx, idx)]) <= 1e-15
 
 
-def test_times_exps_in_place_equals_fresh_temporaries():
-    # _times_exps scales its argument in place; the in-place update is bit for bit the sum of two fresh temporaries
+def test_stacked_kernel_equals_fresh_temporaries():
+    # the kernel gathers rows of stacked transposes into its free work block and scales in place; every step of
+    # every chunk is bit for bit the column-gather form built from the identity as the sum of two fresh temporaries
     word = random_commuting_tail_word(0, "disjoint", 6)
-    _, factors, head = every_sector_heads(word, 0.37)[3]
-    thetas = np.linspace(0.1, 0.9, len(factors))
-    out = _times_exps(head.copy(), factors, thetas)
-    expected = head
-    for q, theta in zip(factors, thetas):
-        expected = np.take(expected, q, axis=1) * (-1j * np.sin(theta)) + np.cos(theta) * expected
-    assert out.tobytes() == expected.tobytes()
+    maps = _SectorMaps(word)
+    thetas = np.linspace(0.1, 0.9, 3 * len(word.factors)).reshape(3, -1)
+    sizes = [idx.size for idx in maps.members]
+    for steps, product, _ in maps._stacked_products(thetas):
+        factors = maps.factors[sizes.index(product.shape[1])]
+        for block, row in zip(product, thetas[steps]):
+            expected = identity(product.shape[1])
+            for q, theta in zip(factors, row):
+                expected = np.take(expected, q, axis=1) * (-1j * np.sin(theta)) + np.cos(theta) * expected
+            assert np.ascontiguousarray(block.T).tobytes() == expected.tobytes()
 
 
 def test_chain_and_coupling_check_build_no_dense_matrix():
@@ -602,6 +649,68 @@ def test_chain_and_coupling_check_build_no_dense_matrix():
         finally:
             tracemalloc.stop()
         assert peak < blocks * largest_block
+
+
+def test_a_leakage_sweep_peaks_within_the_blocks_of_one_leakage():
+    # the steps of a sweep share the two work blocks: stacked to at most one block of the largest sector, so a
+    # 16-step sweep at n = 10 stays under the bound of one leakage above
+    word = ExchangeWord(n_spins=10, factors=tuple((i, i + 1) for i in range(1, 10)) + ((1, 2), (3, 4)))
+    largest_block = 16 * math.comb(10, 5) ** 2
+    maps = _SectorMaps(word)
+    maps.factors  # the maps, built once per command, are not part of the sweep
+    tracemalloc.start()
+    try:
+        leaks = maps.leakages(np.linspace(-0.02, 0.02, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(leaks) == 16 and all(0.0 < leak < 1.0 for leak in leaks)
+    assert peak < 5.5 * largest_block
+
+
+@st.composite
+def sweeps(draw):
+    """A word on 2..9 spins and 1..8 offsets, each one for every factor or one per factor."""
+    word = draw(random_words())
+    offset = st.floats(-0.5, 0.5, allow_nan=False)
+    per_factor = st.tuples(*[offset] * len(word.factors))
+    return word, draw(st.lists(st.one_of(offset, per_factor), min_size=1, max_size=8))
+
+
+@given(sweeps())
+@settings(max_examples=60, deadline=None)
+def test_leakages_equal_the_one_step_oracle_bit_for_bit(sweep):
+    # stacked steps cross chunk boundaries below the middle sector (at n = 9, sector 3 holds two steps a chunk)
+    word, offsets = sweep
+    maps = _SectorMaps(word)
+    leaks = maps.leakages(offsets)
+    assert leaks == [pair_leakage(maps, epsilon) for epsilon in offsets]
+    assert leaks == [maps.leakage(epsilon) for epsilon in offsets]
+
+
+def test_a_long_words_leakage_equals_the_exact_phase_oracle():
+    # 1j**m rounds for m >= 101; the kernel applies no phase, and |i^m * M| = |M| only for the exact power of i
+    word = ExchangeWord(n_spins=6, factors=tuple((i, i + 1) for i in range(1, 6)) * 20 + ((1, 2), (3, 4), (5, 6)))
+    assert len(word.factors) == 103
+    maps = _SectorMaps(word)
+    offsets = (0.013, 0.02)
+    expected = [pair_leakage(maps, epsilon) for epsilon in offsets]
+    assert maps.leakages(offsets) == expected
+    assert [perturbation_leakage(word, epsilon) for epsilon in offsets] == expected
+
+
+def test_leakages_check_every_offset_before_any_block(monkeypatch):
+    word = ExchangeWord(n_spins=4, factors=((2, 3), (1, 2), (3, 4)))
+    assert _SectorMaps(word).leakages([]) == []
+
+    def refuse(*args):
+        raise AssertionError("formed a sector block before checking the offsets")
+
+    monkeypatch.setattr(permlog.bch._SectorMaps, "_stacked_products", refuse)
+    with pytest.raises(ValueError, match="offsets must be finite"):
+        _SectorMaps(word).leakages([0.01, (0.0, np.nan, 0.0)])
+    with pytest.raises(ValueError, match=r"need one offset or 3 of them, got shape \(2,\)"):
+        _SectorMaps(word).leakages([0.01, (0.0, 0.1)])
 
 
 @pytest.mark.parametrize("tail", ["disjoint", "repeated"])
@@ -634,15 +743,18 @@ def test_perturbation_leakage_equals_dense_leakage(n, k, tail):
 
 
 def test_one_spoiled_sector_shows_in_the_leakage(monkeypatch):
-    # scale the gathers of sector 2 of n = 6 only, which sector 4 mirrors: the leakage must notice
+    # scale the products of sector 2 of n = 6 only, which sector 4 mirrors: the leakage must notice
     word = random_commuting_tail_word(400, "disjoint", 6)
     assert perturbation_leakage(word, 0.02) > 0.0
+    stacked_products = _SectorMaps._stacked_products
 
-    def spoil_one_sector(m, factors, thetas):
-        out = _times_exps(m, factors, thetas)
-        return out * 1.001 if m.shape[0] == math.comb(6, 2) else out
+    def spoil_one_sector(self, thetas):
+        for steps, product, free in stacked_products(self, thetas):
+            if product.shape[1] == math.comb(6, 2):
+                product *= 1.001
+            yield steps, product, free
 
-    monkeypatch.setattr(permlog.bch, "_times_exps", spoil_one_sector)
+    monkeypatch.setattr(permlog.bch._SectorMaps, "_stacked_products", spoil_one_sector)
     with pytest.raises(NonUnitaryError):
         perturbation_leakage(word, 0.02)
 
@@ -652,12 +764,15 @@ def test_a_spoiled_sector_product_fails_the_leakage_of_its_pair(monkeypatch, k):
     # only sector k of each pair (k, 7 - k) is formed and checked for unitarity: a spoil there must be refused
     word = random_commuting_tail_word(400, "disjoint", 7)
     assert perturbation_leakage(word, 0.02) > 0.0
+    stacked_products = _SectorMaps._stacked_products
 
-    def spoil_one_sector(m, factors, thetas):
-        out = _times_exps(m, factors, thetas)
-        return out * 1.001 if m.shape[0] == math.comb(7, k) else out
+    def spoil_one_sector(self, thetas):
+        for steps, product, free in stacked_products(self, thetas):
+            if product.shape[1] == math.comb(7, k):
+                product *= 1.001
+            yield steps, product, free
 
-    monkeypatch.setattr(permlog.bch, "_times_exps", spoil_one_sector)
+    monkeypatch.setattr(permlog.bch._SectorMaps, "_stacked_products", spoil_one_sector)
     with pytest.raises(NonUnitaryError):
         perturbation_leakage(word, 0.02)
 
@@ -763,18 +878,19 @@ def test_leakage_forms_one_product_per_mirror_pair(monkeypatch):
     # sector N - k takes sector k's leakage: at n = 9 that is 5 sector products and 5 unitarity checks, not 10
     word = ExchangeWord(n_spins=9, factors=tuple((i, i + 1) for i in range(1, 9)) + ((1, 2),))
     sizes, residuals = [], []
-    times_exps, unitarity_residual = permlog.bch._times_exps, permlog.bch._unitarity_residual
+    stacked_products, unitarity_residuals = _SectorMaps._stacked_products, permlog.bch._unitarity_residuals
 
-    def counting(m, factors, thetas):
-        sizes.append(m.shape[0])
-        return times_exps(m, factors, thetas)
+    def counting(self, thetas):
+        for steps, product, free in stacked_products(self, thetas):
+            sizes.append(product.shape[1])
+            yield steps, product, free
 
-    def counting_residual(m):
-        residuals.append(m.shape[0])
-        return unitarity_residual(m)
+    def counting_residual(t, scratch):
+        residuals.append(t.shape[1])
+        return unitarity_residuals(t, scratch)
 
-    monkeypatch.setattr(permlog.bch, "_times_exps", counting)
-    monkeypatch.setattr(permlog.bch, "_unitarity_residual", counting_residual)
+    monkeypatch.setattr(permlog.bch._SectorMaps, "_stacked_products", counting)
+    monkeypatch.setattr(permlog.bch, "_unitarity_residuals", counting_residual)
     perturbation_leakage(word, 0.01)
     assert sorted(sizes) == sorted(residuals) == [math.comb(9, k) for k in range(9 // 2 + 1)]
 
@@ -829,11 +945,10 @@ def test_library_blocks_equal_the_every_sector_blocks(n, theta):
     # block of the sector's own product; the offset theta - pi/2 puts every factor at coupling theta
     rng = np.random.default_rng([n, 2])
     word = mirror_test_word(rng, n)
-    maps = _SectorMaps(word)
     pairs = list(_mirror_pairs(n))
     per_factor = tuple(rng.uniform(-0.1, 0.1, len(word.factors)))
     for epsilon in (0.013, per_factor, theta - np.pi / 2):
-        assert [k for k, _ in _perturbed_blocks(maps, epsilon)] == [k for k, _ in pairs]
+        assert [block.shape[0] for block in library_products(word, epsilon)] == [math.comb(n, k) for k, _ in pairs]
         expected = every_sector_perturbed_blocks(word, epsilon)
         for k, block in enumerate(library_perturbed_blocks(word, epsilon)):
             assert block.flags.c_contiguous and block.tobytes() == expected[k][1].tobytes(), k
@@ -876,7 +991,7 @@ def test_mirrored_blocks_have_their_partners_unitarity_residual(n):
         sectors += [[f[label] for f in forms] for label in (FORM_FACTORED, FORM_TAIL_PRODUCT)]
     for blocks in sectors:
         for k, mirror in _mirror_pairs(n):
-            assert abs(_unitarity_residual(blocks[mirror]) - _unitarity_residual(blocks[k])) <= 1e-14, k
+            assert abs(library_residual(blocks[mirror]) - library_residual(blocks[k])) <= 1e-14, k
 
 
 @pytest.mark.parametrize("tail", ["disjoint", "repeated"])
@@ -925,7 +1040,7 @@ def test_chain_and_coupling_checks_form_no_sector_product(monkeypatch, n, tail):
     def refuse(*args):
         raise AssertionError("formed a sector product")
 
-    monkeypatch.setattr(permlog.bch, "_times_exps", refuse)
+    monkeypatch.setattr(permlog.bch._SectorMaps, "_stacked_products", refuse)
     assert bch_chain(word) == chain
     assert [coupling_variant_check(word, k, family) for k, family in checks] == verdicts
     with pytest.raises(AssertionError, match="formed a sector product"):

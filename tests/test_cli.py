@@ -49,6 +49,22 @@ def test_json_output_is_byte_identical(capsys):
     assert out1.strip()
 
 
+def test_main_parses_every_call_with_one_parser(capsys, monkeypatch):
+    # the argparse tree is built once per process, and no call's options leak into the next;
+    # build_parser keeps returning a fresh parser
+    assert permlog.cli.build_parser() is not permlog.cli.build_parser()
+    first = run_cli(REFERENCE_ARGS, capsys)
+
+    def refuse():
+        raise AssertionError("rebuilt the parser")
+
+    monkeypatch.setattr(permlog.cli, "build_parser", refuse)
+    assert run_cli(REFERENCE_ARGS, capsys) == first
+    bch = ["bch", "--n", "4", "--word", "P23 P12 P34", "--k-range", "0", "--format", "json"]
+    assert "perturbation" in json.loads(run_cli([*bch, "--epsilon", "0.01"], capsys)[1])["results"]
+    assert "perturbation" not in json.loads(run_cli(bch, capsys)[1])["results"]
+
+
 def test_json_schema_shape(capsys):
     code, out = run_cli(REFERENCE_ARGS, capsys)
     doc = json.loads(out)
@@ -590,7 +606,7 @@ def test_bch_epsilon_csv_without_sweep_is_refused_before_any_block(epsilon, mess
     def refuse(*args):
         raise AssertionError("formed a sector block before rejecting the format")
 
-    monkeypatch.setattr(permlog.bch, "_times_exps", refuse)
+    monkeypatch.setattr(permlog.bch._SectorMaps, "_stacked_products", refuse)
     code = main(["bch", "--n", "4", "--word", "P23 P12 P34", "--epsilon", epsilon, "--format", "csv"])
     captured = capsys.readouterr()
     assert code == 2
